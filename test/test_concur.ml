@@ -514,6 +514,30 @@ let test_deadlock_outcome_and_events () =
        evs);
   List.iter (fun ev -> ignore (E.to_human ev)) evs
 
+let test_deadlock_exact_message () =
+  (* The full diagnosis over two unresolved futures, f and g: their own
+     trees (pids 1 and 2) and three main-tree touchers are parked.  The
+     toucher pruned by the capture (pid 9) left a stale waiter on f's
+     cell and must not be listed. *)
+  let src =
+    "(letrec ([f (future (touch f))] [g (future (touch g))])
+       (pcall + (touch f) (touch g)
+              (spawn (lambda (c)
+                       (pcall + (touch f)
+                              (begin (+ 1 2) (+ 3 4) (c (lambda (k) 0))))))
+              (touch g)))"
+  in
+  let ir =
+    match Pcont_syntax.Expand.parse_program src with
+    | Ok [ Pcont_syntax.Expand.Expr ir ] -> ir
+    | _ -> Alcotest.fail "parse"
+  in
+  match Concur.run ~fuel:100_000 (Pstack.Prims.base_env ()) ir with
+  | Concur.Deadlock msg ->
+      Alcotest.(check string) "diagnosis"
+        "5 branch(es) parked: 5 on future (paths 0>4, 0>5, 0>7, 1, 2)" msg
+  | o -> Alcotest.failf "expected Deadlock, got %s" (Concur.outcome_to_string o)
+
 let test_park_wake_counters () =
   let t = Interp.create () in
   let c = (Interp.config t).Machine.counters in
@@ -740,6 +764,7 @@ let () =
           Alcotest.test_case "future cycle diagnosed" `Quick test_deadlock_future_cycle;
           Alcotest.test_case "outcome + park/deadlock events" `Quick
             test_deadlock_outcome_and_events;
+          Alcotest.test_case "exact diagnosis" `Quick test_deadlock_exact_message;
           Alcotest.test_case "park/wake counters" `Quick test_park_wake_counters;
           Alcotest.test_case "blocked touch consumes no fuel" `Quick
             test_blocked_touch_consumes_no_fuel;

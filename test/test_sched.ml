@@ -344,6 +344,8 @@ let test_search_schedule_independence () =
 (* ---------------- channels ---------------- *)
 
 module Ch = Pcont_sched.Channel
+module Obs = Pcont_obs.Obs
+module E = Pcont_obs.Obs.Event
 
 let test_channel_basic () =
   let r =
@@ -615,6 +617,75 @@ let test_deadlock_touch_orphaned_future () =
       let f = S.future (fun () -> Ch.recv ch) in
       S.touch f)
 
+(* A parked receiver pruned by a capture whose continuation is dropped:
+   three live waiters on two resources remain, plus the pruned one's
+   stale entry.  Returns a tree that deadlocks. *)
+let pruned_waiter_program ?(spin = 0) () =
+  let ch : int Ch.t = Ch.create () in
+  let gate = S.Waitset.create "test.gate" in
+  S.pcall
+    [
+      (fun () -> Ch.recv ch);
+      (fun () ->
+        S.block gate;
+        0);
+      (fun () ->
+        S.spawn (fun c ->
+            match
+              S.pcall
+                [
+                  (fun () -> Ch.recv ch);
+                  (fun () ->
+                    S.yield ();
+                    S.control c (fun _k -> 0));
+                ]
+            with
+            | _ -> 1));
+      (fun () -> Ch.recv ch);
+      (fun () ->
+        for _ = 1 to spin do
+          S.yield ()
+        done;
+        0);
+    ]
+  |> List.fold_left ( + ) 0
+
+let test_deadlock_exact_message () =
+  (* The full diagnosis, not a substring: live waiters only (the pruned
+     receiver, pid 7, is not listed), grouped by resource in name order,
+     each with its root-to-fiber path in park order. *)
+  match S.run (pruned_waiter_program ~spin:0) with
+  | (_ : int) -> Alcotest.fail "expected Deadlock"
+  | exception S.Deadlock msg ->
+      Alcotest.(check string) "diagnosis"
+        "deadlock: 3 fiber(s) parked: 2 on channel.recv (paths 0>1, 0>4), 1 on \
+         test.gate (paths 0>2)"
+        msg
+
+let test_fwake_skips_stale_entries () =
+  (* A spurious wake of channel.recv after the capture: only the two live
+     receivers wake, oldest first; the pruned receiver's stale entry
+     wakes nothing.  The woken receivers re-check and park again. *)
+  let events = ref [] in
+  let o = Obs.create () in
+  Obs.attach o (Obs.Sink.memory (fun (_, _, ev) -> events := ev :: !events));
+  let inject i = if i = 12 then Some (S.Fwake "channel.recv") else None in
+  (match S.run ~obs:o ~inject (pruned_waiter_program ~spin:6) with
+  | (_ : int) -> Alcotest.fail "expected Deadlock"
+  | exception S.Deadlock _ -> ());
+  let rec after_marker = function
+    | E.Crash { fault = "inject:wake:channel.recv"; _ } :: rest -> rest
+    | _ :: rest -> after_marker rest
+    | [] -> Alcotest.fail "no wake marker"
+  in
+  let rec wakes acc = function
+    | E.Wake { pid; resource } :: rest -> wakes ((pid, resource) :: acc) rest
+    | _ -> List.rev acc
+  in
+  Alcotest.(check (list (pair int string))) "live entries, park order"
+    [ (1, "channel.recv"); (4, "channel.recv") ]
+    (wakes [] (after_marker (List.rev !events)))
+
 let test_waitset_block_wake () =
   (* The primitive user-level protocol: park on a waitset, re-check on
      wake-up. *)
@@ -848,6 +919,9 @@ let () =
           Alcotest.test_case "send, no receiver" `Quick test_deadlock_send_no_receiver;
           Alcotest.test_case "touch of orphaned future" `Quick
             test_deadlock_touch_orphaned_future;
+          Alcotest.test_case "exact diagnosis" `Quick test_deadlock_exact_message;
+          Alcotest.test_case "Fwake skips stale entries" `Quick
+            test_fwake_skips_stale_entries;
           Alcotest.test_case "waitset block/wake" `Quick test_waitset_block_wake;
           Alcotest.test_case "close wakes parked sender" `Quick
             test_close_wakes_parked_sender;
