@@ -494,7 +494,7 @@ let apply ?(oneshot = true) cfg st f args =
             | Op_wind, [ before; thunk; after ] ->
                 run_winders st [ before ] (Wenter (before, thunk, after))
             | Op_touch, [ Future cell ] -> (
-                match cell.fvalue with
+                match cell.Pcont_kernel.Kernel.fvalue with
                 | Some v -> { st with control = Creturn v }
                 | None -> raise (Stop (Esc_touch cell)))
             | Op_touch, [ v ] ->
@@ -724,7 +724,7 @@ let return_value cfg st v =
           g.gval <- v;
           { control = Creturn Unit; pstack = set_frames ps seg fs rest }
       | Ffuture fc ->
-          fc.fvalue <- Some v;
+          fc.Pcont_kernel.Kernel.fvalue <- Some v;
           { control = Creturn (Future fc); pstack = set_frames ps seg fs rest }
       | Fwind (_, after) ->
           (* normal return exits the wind: run the after, then deliver v *)
@@ -803,7 +803,7 @@ let step_gen ~conc cfg st =
           else
             (* Sequential fallback: evaluate eagerly; the future is
                resolved by the time it is returned. *)
-            let pstack = push_frame (Ffuture { fvalue = None; fwaiters = [] }) st.pstack in
+            let pstack = push_frame (Ffuture (Pcont_kernel.Kernel.future ())) st.pstack in
             { control = Ceval (e, env); pstack }
       | Ir.Rpcall [] -> err "pcall: expects at least an operator expression"
       | Ir.Rpcall exprs ->

@@ -53,15 +53,9 @@ type value =
 
 and pair = { mutable car : value; mutable cdr : value }
 
-and future_cell = {
-  mutable fvalue : value option;
-  mutable fwaiters : (unit -> int option) list;
-      (* wake thunks registered (newest first) by the concurrent
-         scheduler for branches parked on a pending touch; run once,
-         when the cell's value is delivered, returning the woken
-         branch's node id ([None] when the entry was invalidated by a
-         capture) so the scheduler can emit wake events in park order *)
-}
+(* A future's cell and the branches parked on a pending touch of it,
+   shared with the scheduler kernel. *)
+and future_cell = (state, segment list, value) Pcont_kernel.Kernel.future
 
 (* The runtime environment is a chain of flat "rib" frames: one value
    array per binding form (lambda application, let, letrec).  The

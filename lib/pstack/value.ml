@@ -84,8 +84,8 @@ let rec pp_gen ~display ppf v =
   | Pk pk -> Format.fprintf ppf "#<process-continuation %d>" pk.pk_label
   | Pktree pkt -> Format.fprintf ppf "#<process-continuation %d (tree)>" pkt.pkt_label
   | Cont _ -> Format.fprintf ppf "#<continuation>"
-  | Future { fvalue = None; _ } -> Format.fprintf ppf "#<future (pending)>"
-  | Future { fvalue = Some _; _ } -> Format.fprintf ppf "#<future (resolved)>"
+  | Future { Pcont_kernel.Kernel.fvalue = None; _ } -> Format.fprintf ppf "#<future (pending)>"
+  | Future { Pcont_kernel.Kernel.fvalue = Some _; _ } -> Format.fprintf ppf "#<future (resolved)>"
   | Fcont _ -> Format.fprintf ppf "#<functional-continuation>"
 
 and pp_list ~display ppf v =
