@@ -1,0 +1,127 @@
+(* Soak tests: a long run's memory must follow its live fibers, not its
+   history.  Each workload runs at 10^4 and at 10^5 operations and reads
+   the live heap words after a full major collection from inside the
+   run, while the scheduler's state is still reachable; ten times the
+   operations may cost at most 10% more live words. *)
+
+module S = Pcont_sched.Sched
+module Ch = Pcont_sched.Channel
+module Pstack = Pcont_pstack
+module Concur = Pcont_pstack.Concur
+module T = Pcont_pstack.Types
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).live_words
+
+let check_flat name workload =
+  let small = workload 10_000 and large = workload 100_000 in
+  let bound = float_of_int small *. 1.1 in
+  if float_of_int large > bound then
+    Alcotest.failf "%s: %d live words at 10^5 operations, above 1.1 x %d at 10^4" name
+      large small
+
+(* ---------------- native scheduler ---------------- *)
+
+let ping_pong n =
+  S.run (fun () ->
+      let ping = Ch.create ~capacity:1 () and pong = Ch.create ~capacity:1 () in
+      let _ =
+        S.pcall2
+          (fun () ->
+            for i = 1 to n do
+              Ch.send ping i;
+              ignore (Ch.recv pong)
+            done)
+          (fun () ->
+            for _ = 1 to n do
+              Ch.send pong (Ch.recv ping)
+            done)
+      in
+      live_words ())
+
+let sleep_loop n =
+  S.run (fun () ->
+      for i = 1 to n do
+        S.sleep (i mod 3)
+      done;
+      live_words ())
+
+(* Timeout scopes, half of which time out: every scope's timer branch
+   and every timed-out body is cancelled while parked on the timer. *)
+let timeout_scopes n =
+  S.run (fun () ->
+      for i = 1 to n do
+        ignore
+          (Pcont_resil.Resil.with_timeout 5 (fun () ->
+               S.sleep (if i mod 2 = 0 then 1 else 10);
+               i))
+      done;
+      live_words ())
+
+(* Fibers forked inside a span under a metrics-only handle: a finished
+   fiber must not keep its span context. *)
+let span_forks n =
+  S.run ~obs:(Pcont_obs.Obs.create ()) (fun () ->
+      for _ = 1 to n do
+        S.Span.with_ "req" (fun () ->
+            ignore
+              (S.pcall2
+                 (fun () ->
+                   S.yield ();
+                   1)
+                 (fun () -> 2)))
+      done;
+      live_words ())
+
+(* ---------------- process-stack scheduler ---------------- *)
+
+(* Runs [src] under Concur with a [live-words] primitive defined. *)
+let pstack_run src n =
+  let genv = Pstack.Prims.base_env () in
+  Pstack.Env.define_global genv "live-words"
+    (T.Prim
+       { pname = "live-words"; pmin = 0; pmax = Some 0;
+         pkind = T.Pure (fun _ -> Ok (T.Int (live_words ()))) });
+  let ir =
+    match Pcont_syntax.Expand.parse_program (Printf.sprintf src n) with
+    | Ok [ Pcont_syntax.Expand.Expr ir ] -> ir
+    | _ -> Alcotest.fail "parse"
+  in
+  match Concur.run ~fuel:max_int genv ir with
+  | Concur.Value (T.Int w) -> w
+  | o -> Alcotest.failf "unexpected outcome %s" (Concur.outcome_to_string o)
+
+let future_touch_loop =
+  pstack_run
+    "(letrec ([loop (lambda (i acc)
+                       (if (= i 0) acc (loop (- i 1) (+ acc (touch (future i))))))])
+       (begin (loop %d 0) (live-words)))"
+
+let pstack_sleep_loop =
+  pstack_run
+    "(letrec ([loop (lambda (i) (if (= i 0) 0 (begin (sleep 1) (loop (- i 1)))))])
+       (begin (loop %d) (live-words)))"
+
+let () =
+  Alcotest.run "soak"
+    [
+      ( "native",
+        [
+          Alcotest.test_case "channel ping-pong" `Quick (fun () ->
+              check_flat "ping-pong" ping_pong);
+          Alcotest.test_case "sleep loop" `Quick (fun () ->
+              check_flat "sleep" sleep_loop);
+          Alcotest.test_case "timeout scopes" `Quick (fun () ->
+              check_flat "timeout scopes" timeout_scopes);
+          Alcotest.test_case "span forks" `Quick (fun () ->
+              check_flat "span forks" span_forks);
+        ] );
+      ( "pstack",
+        [
+          Alcotest.test_case "future/touch loop" `Quick (fun () ->
+              check_flat "future/touch" future_touch_loop);
+          Alcotest.test_case "sleep loop" `Quick (fun () ->
+              check_flat "sleep" pstack_sleep_loop);
+        ] );
+    ]
