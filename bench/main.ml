@@ -1069,7 +1069,7 @@ let e14 () =
      Tree_order), so the cancelled/completed split is a fixed property
      of (n, deadline).
 
-     Measured from the run's Obs.Metrics histograms:
+     Measured from the run's Obs.Metrics series:
      - cancel latency: virtual-time units between the scope's deadline
        and its caller observing [Error (Cancelled _)] (scope machinery
        plus scheduling delay, in clock units);
@@ -1120,30 +1120,9 @@ let e14 () =
       in
       let (o, ncxl, ndone), dt = time_best ~n:(if !quick then 1 else 2) run in
       let m = Obs.metrics o in
-      let hist name =
-        match Obs.Metrics.find m name with
-        | Some h -> (Obs.Metrics.hist_mean h, Obs.Metrics.hist_max h)
-        | None -> (0., 0)
-      in
-      let lat_mean, lat_max = hist "resil.cancel.latency" in
-      (* median from the power-of-two buckets: the bound of the bucket
-         where the cumulative count crosses half *)
-      let lat_p50 =
-        match Obs.Metrics.find m "resil.cancel.latency" with
-        | None -> "-"
-        | Some h ->
-            let half = (Obs.Metrics.hist_count h + 1) / 2 in
-            let acc = ref 0 and med = ref "-" in
-            List.iter
-              (fun (b, c) ->
-                if !acc < half then begin
-                  acc := !acc + c;
-                  if !acc >= half then med := b
-                end)
-              (Obs.Metrics.hist_buckets h);
-            !med
-      in
-      let swept_mean, _ = hist "sched.cancel.pids" in
+      let module Sk = Obs.Metrics.Sketch in
+      let series name = Option.value (Obs.Metrics.find_sketch m name) ~default:(Sk.create ()) in
+      let lat = series "resil.cancel.latency" and swept = series "sched.cancel.pids" in
       jrow
         ~name:(Printf.sprintf "e14.timeout%d" n)
         ~params:[ pint "fibers" n; pint "deadline" deadline ]
@@ -1151,13 +1130,14 @@ let e14 () =
           [
             ("cancelled", ncxl);
             ("completed", ndone);
-            ("cancel_latency_mean", int_of_float lat_mean);
-            ("cancel_latency_max", lat_max);
-            ("swept_per_cancel", int_of_float swept_mean);
+            ("cancel_latency_mean", int_of_float (Sk.mean lat));
+            ("cancel_latency_max", Sk.max lat);
+            ("swept_per_cancel", int_of_float (Sk.mean swept));
           ]
         (ns_per dt n);
-      row "%7d | %9d %9d | %9s %9.1f %9d | %9.1f %9.2f\n" n ncxl ndone lat_p50
-        lat_mean lat_max swept_mean
+      row "%7d | %9d %9d | %9s %9.1f %9d | %9.1f %9.2f\n" n ncxl ndone
+        (if Sk.count lat = 0 then "-" else Printf.sprintf "%.1f" (Sk.quantile lat 0.5))
+        (Sk.mean lat) (Sk.max lat) (Sk.mean swept)
         (dt *. 1e6 /. float_of_int n))
     ns;
   print_endline "shape: the cancelled share tracks the tail mass past the deadline";
@@ -1177,7 +1157,7 @@ let e15 () =
      the pstack concurrent scheduler once per observation config:
      - none:    no handle — the baseline the overhead ratios are against;
      - metrics: a handle with no sinks: each event costs one sequence
-       increment, each observation feeds a histogram and a sketch;
+       increment, each observation one sketch bump;
      - ring:    the flight recorder — events formatted into a fixed ring
        of lines, no I/O on the hot path;
      - jsonl:   every event serialized into a growing buffer (the full

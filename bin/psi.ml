@@ -61,19 +61,18 @@ let print_stats t obs =
   match obs with
   | None -> ()
   | Some o -> (
-      let mx = Obs.metrics o in
+      let module Sk = Obs.Metrics.Sketch in
       match
-        List.filter (fun (_, h) -> Obs.Metrics.hist_count h > 0) (Obs.Metrics.hists mx)
+        List.filter (fun (_, sk) -> Sk.count sk > 0) (Obs.Metrics.sketches (Obs.metrics o))
       with
       | [] -> ()
-      | hists ->
+      | series ->
           prerr_endline ";; scheduler histograms:";
           List.iter
-            (fun (name, h) ->
-              Printf.eprintf ";;   %-36s n=%d mean=%.1f max=%d\n" name
-                (Obs.Metrics.hist_count h) (Obs.Metrics.hist_mean h)
-                (Obs.Metrics.hist_max h))
-            hists)
+            (fun (name, sk) ->
+              Printf.eprintf ";;   %-36s n=%d mean=%.1f max=%d\n" name (Sk.count sk)
+                (Sk.mean sk) (Sk.max sk))
+            series)
 
 let repl t mode eval_form =
   Printf.printf "psi — Scheme with process continuations (Hieb & Dybvig, PPoPP 1990)\n";
@@ -189,7 +188,7 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
   in
   let t = Interp.create ~prelude:(not no_prelude) ~strategy () in
   (* One observability handle feeds every consumer — the --trace stream,
-     the --trace-out sink, the --summary table, the histograms shown by
+     the --trace-out sink, the --summary table, the series shown by
      --stats.  Its metrics share the interpreter's counter table, so
      machine counters and scheduler metrics land in one report. *)
   let obs =

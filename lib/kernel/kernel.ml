@@ -178,10 +178,10 @@ module Make (B : BACKEND) = struct
     timers : entry heap;
     node_span : (int, int) Hashtbl.t;
     wake_ts : (int, int) Hashtbl.t;
-    s_fuel : Obs.Metrics.series;
-    s_runq : Obs.Metrics.series;
-    s_park : Obs.Metrics.series;
-    s_wake_run : Obs.Metrics.series;
+    s_fuel : Obs.Metrics.Sketch.t;
+    s_runq : Obs.Metrics.Sketch.t;
+    s_park : Obs.Metrics.Sketch.t;
+    s_wake_run : Obs.Metrics.Sketch.t;
   }
 
   let create ?obs ~policy ~resume_wait ~on_wake leaf =
@@ -327,7 +327,7 @@ module Make (B : BACKEND) = struct
     match k.obs with
     | None -> ()
     | Some o ->
-        if sample then Obs.Metrics.observe_series k.s_park (k.rounds - e.we_round);
+        if sample then Obs.Metrics.Sketch.observe k.s_park (k.rounds - e.we_round);
         Hashtbl.replace k.wake_ts e.we_node.nid k.clock;
         Obs.emit o (E.Wake { pid = e.we_node.nid; resource = e.we_ws.ws_name })
 
@@ -392,7 +392,7 @@ module Make (B : BACKEND) = struct
         match Hashtbl.find_opt k.wake_ts n.nid with
         | Some w ->
             Hashtbl.remove k.wake_ts n.nid;
-            Obs.Metrics.observe_series k.s_wake_run (k.clock - w)
+            Obs.Metrics.Sketch.observe k.s_wake_run (k.clock - w)
         | None -> ())
 
   (* The leaf keeps its span context for its next slice, unless it has
@@ -410,7 +410,7 @@ module Make (B : BACKEND) = struct
     | None -> ()
     | Some o ->
         Obs.advance o dt;
-        Obs.Metrics.observe_series k.s_fuel used;
+        Obs.Metrics.Sketch.observe k.s_fuel used;
         Obs.emit o (E.Slice_end { pid = n.nid; fuel = used })
 
   (* ---------------------------------------------------------------- *)
@@ -453,7 +453,7 @@ module Make (B : BACKEND) = struct
     k.rounds <- k.rounds + 1;
     (match k.obs with
     | None -> ()
-    | Some _ -> Obs.Metrics.observe_series k.s_runq (List.length k.queue));
+    | Some _ -> Obs.Metrics.Sketch.observe k.s_runq (List.length k.queue));
     k.new_trees <- [];
     (match k.policy with
     | (Pick _ | Pick_pids _) as driven ->

@@ -130,10 +130,10 @@ module Make (B : BACKEND) : sig
     timers : entry heap;
     node_span : (int, int) Hashtbl.t;
     wake_ts : (int, int) Hashtbl.t;
-    s_fuel : Pcont_obs.Obs.Metrics.series;
-    s_runq : Pcont_obs.Obs.Metrics.series;
-    s_park : Pcont_obs.Obs.Metrics.series;
-    s_wake_run : Pcont_obs.Obs.Metrics.series;
+    s_fuel : Pcont_obs.Obs.Metrics.Sketch.t;
+    s_runq : Pcont_obs.Obs.Metrics.Sketch.t;
+    s_park : Pcont_obs.Obs.Metrics.Sketch.t;
+    s_wake_run : Pcont_obs.Obs.Metrics.Sketch.t;
   }
 
   val create :

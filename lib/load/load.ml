@@ -289,11 +289,6 @@ type acc = {
   mutable a_jain_s : float;
   mutable a_jain_s2 : float;
   mutable a_resid : int;
-  se_lat : Obs.Metrics.series;
-  se_q : Obs.Metrics.series;
-  se_sv : Obs.Metrics.series;
-  se_wk : Obs.Metrics.series;
-  se_jn : Obs.Metrics.series;
 }
 
 let contains_timeout r =
@@ -317,11 +312,6 @@ let record acc req t4 =
   Sketch.observe acc.a_sv sv;
   Sketch.observe acc.a_wk wk;
   Sketch.observe acc.a_jn jn;
-  Obs.Metrics.observe_series acc.se_lat l;
-  Obs.Metrics.observe_series acc.se_q q;
-  Obs.Metrics.observe_series acc.se_sv sv;
-  Obs.Metrics.observe_series acc.se_wk wk;
-  Obs.Metrics.observe_series acc.se_jn jn;
   let fl = float_of_int l in
   acc.a_jain_s <- acc.a_jain_s +. fl;
   acc.a_jain_s2 <- acc.a_jain_s2 +. (fl *. fl);
@@ -369,8 +359,6 @@ let run ?obs ?(policy = Sched.Tree_order) p ~seed scen =
       Obs.sink_close = (fun () -> ());
     };
   let name = scenario_name scen in
-  let m = Obs.metrics o in
-  let series suffix = Obs.Metrics.series m ("load." ^ name ^ suffix) in
   let acc =
     {
       a_completed = 0;
@@ -386,11 +374,6 @@ let run ?obs ?(policy = Sched.Tree_order) p ~seed scen =
       a_jain_s = 0.;
       a_jain_s2 = 0.;
       a_resid = 0;
-      se_lat = series ".latency";
-      se_q = series ".queue";
-      se_sv = series ".service";
-      se_wk = series ".wake";
-      se_jn = series ".join";
     }
   in
   let arr = arrivals p ~seed in
@@ -439,6 +422,13 @@ let run ?obs ?(policy = Sched.Tree_order) p ~seed scen =
       teardown ();
       List.iter Sched.touch !leftovers;
       duration := Sched.now ());
+  (* Each phase is observed once, into the stats sketches; the handle's
+     series take the run by a lossless merge. *)
+  let m = Obs.metrics o in
+  List.iter
+    (fun (suffix, sk) -> Sketch.merge (Obs.Metrics.series m ("load." ^ name ^ suffix)) sk)
+    [ (".latency", acc.a_lat); (".queue", acc.a_q); (".service", acc.a_sv);
+      (".wake", acc.a_wk); (".join", acc.a_jn) ];
   let jain =
     let c = float_of_int acc.a_completed in
     if acc.a_completed = 0 || acc.a_jain_s2 <= 0. then 1.

@@ -117,8 +117,10 @@ val run :
     or crashed; handlers drained).  When [?obs] is given, the run's
     events flow to its sinks and the per-scenario series
     [load.<scenario>.{latency,queue,service,wake,join}] land in its
-    metrics; otherwise a private handle is created (peak-fiber
-    accounting needs one).  Default policy: [Tree_order]. *)
+    metrics (the stats' sketches, merged in when the run ends, so a
+    handle shared by several runs holds them all); otherwise a private
+    handle is created (peak-fiber accounting needs one).  Default
+    policy: [Tree_order]. *)
 
 val stats_to_json : stats -> Pcont_obs.Obs.Json.t
 (** Deterministic field order; quantiles rendered at p50/p99/p999. *)

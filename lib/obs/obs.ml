@@ -427,22 +427,10 @@ module Event = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Metrics: counters + fixed-bucket histograms                         *)
+(* Metrics: counters + quantile sketches                               *)
 (* ------------------------------------------------------------------ *)
 
 module Metrics = struct
-  type hist = {
-    bounds : int array;  (* strictly increasing inclusive upper bounds *)
-    counts : int array;  (* length bounds + 1; the last is the overflow *)
-    mutable n : int;
-    mutable sum : int;
-    mutable max : int;
-  }
-
-  (* 1, 2, 4, ..., 2^20: wide enough for fuel-per-quantum, queue depths
-     and capture sizes while keeping observation a short scan. *)
-  let default_bounds = Array.init 21 (fun i -> 1 lsl i)
-
   (* DDSketch-style mergeable quantile sketch.  Bucket [i] (i >= 0) holds
      every observation v with gamma^(i-1) < v <= gamma^i, where
      gamma = (1+alpha)/(1-alpha); zeros are counted exactly.  Reporting
@@ -555,14 +543,12 @@ module Metrics = struct
 
   type t = {
     counters : Counters.t;
-    hists : (string, hist) Hashtbl.t;
     sketches : (string, Sketch.t) Hashtbl.t;
   }
 
   let create ?counters () =
     {
       counters = (match counters with Some c -> c | None -> Counters.create ());
-      hists = Hashtbl.create 16;
       sketches = Hashtbl.create 16;
     }
 
@@ -572,23 +558,9 @@ module Metrics = struct
 
   let add t name n = Counters.add t.counters name n
 
-  let hist_of t name =
-    match Hashtbl.find_opt t.hists name with
-    | Some h -> h
-    | None ->
-        let h =
-          {
-            bounds = default_bounds;
-            counts = Array.make (Array.length default_bounds + 1) 0;
-            n = 0;
-            sum = 0;
-            max = 0;
-          }
-        in
-        Hashtbl.add t.hists name h;
-        h
-
-  let sketch_of t name =
+  (* Scheduler hot paths (one observation per slice) resolve their
+     series once per run instead of once per observation. *)
+  let series t name =
     match Hashtbl.find_opt t.sketches name with
     | Some sk -> sk
     | None ->
@@ -596,31 +568,7 @@ module Metrics = struct
         Hashtbl.add t.sketches name sk;
         sk
 
-  (* A pre-resolved handle on one named distribution: scheduler hot
-     paths (one observation per slice) pay the string-keyed lookups once
-     per run instead of once per observation. *)
-  type series = { se_hist : hist; se_sketch : Sketch.t }
-
-  let series t name = { se_hist = hist_of t name; se_sketch = sketch_of t name }
-
-  (* Every observation feeds both views: the power-of-two histogram
-     (exact bucket counts, cheap to print) and the quantile sketch
-     (p50/p99/p999 within the relative-error bound, mergeable). *)
-  let observe_series se v =
-    let v = if v < 0 then 0 else v in
-    let h = se.se_hist in
-    let nb = Array.length h.bounds in
-    let rec bucket i = if i >= nb || v <= h.bounds.(i) then i else bucket (i + 1) in
-    let i = bucket 0 in
-    h.counts.(i) <- h.counts.(i) + 1;
-    h.n <- h.n + 1;
-    h.sum <- h.sum + v;
-    if v > h.max then h.max <- v;
-    Sketch.observe se.se_sketch v
-
-  let observe t name v = observe_series (series t name) v
-
-  let find t name = Hashtbl.find_opt t.hists name
+  let observe t name v = Sketch.observe (series t name) v
 
   let find_sketch t name = Hashtbl.find_opt t.sketches name
 
@@ -628,68 +576,13 @@ module Metrics = struct
     Hashtbl.fold (fun name sk acc -> (name, sk) :: acc) t.sketches []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  let quantile t name q =
-    match find_sketch t name with None -> 0. | Some sk -> Sketch.quantile sk q
-
-  let hists t =
-    Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.hists []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let hist_count h = h.n
-
-  let hist_sum h = h.sum
-
-  let hist_max h = h.max
-
-  let hist_mean h = if h.n = 0 then 0. else float_of_int h.sum /. float_of_int h.n
-
-  let hist_buckets h =
-    let nb = Array.length h.bounds in
-    let acc = ref [] in
-    for i = nb downto 0 do
-      if h.counts.(i) > 0 then
-        let label =
-          if i = nb then Printf.sprintf ">%d" h.bounds.(nb - 1)
-          else Printf.sprintf "<=%d" h.bounds.(i)
-        in
-        acc := (label, h.counts.(i)) :: !acc
-    done;
-    !acc
-
-  (* Fold [src] into [dst]: counters add, histograms add bucket-wise
-     (same bounds required), sketches merge bucket-wise.  Groundwork for
-     per-domain metrics buffers: each domain observes locally and the
-     collector merges. *)
+  (* Fold [src] into [dst]: counters add, sketches merge bucket-wise.
+     Groundwork for per-domain metrics buffers: each domain observes
+     locally and the collector merges. *)
   let merge dst src =
     List.iter (fun (name, v) -> Counters.add dst.counters name v)
       (Counters.to_list src.counters);
-    Hashtbl.iter
-      (fun name (h : hist) ->
-        let d = hist_of dst name in
-        if d.bounds <> h.bounds then
-          invalid_arg "Metrics.merge: histograms have different bounds";
-        Array.iteri (fun i c -> d.counts.(i) <- d.counts.(i) + c) h.counts;
-        d.n <- d.n + h.n;
-        d.sum <- d.sum + h.sum;
-        if h.max > d.max then d.max <- h.max)
-      src.hists;
-    Hashtbl.iter
-      (fun name sk -> Sketch.merge (sketch_of dst name) sk)
-      src.sketches
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>%a" Counters.pp t.counters;
-    List.iter
-      (fun (name, h) ->
-        if h.n > 0 then begin
-          Format.fprintf ppf "@,%s: n=%d sum=%d max=%d mean=%.1f" name h.n h.sum
-            h.max (hist_mean h);
-          List.iter
-            (fun (label, c) -> Format.fprintf ppf "@,  %-10s %d" label c)
-            (hist_buckets h)
-        end)
-      (hists t);
-    Format.fprintf ppf "@]"
+    Hashtbl.iter (fun name sk -> Sketch.merge (series dst name) sk) src.sketches
 end
 
 (* ------------------------------------------------------------------ *)
@@ -791,7 +684,7 @@ let close t =
 (* Span ids are allocated here (per handle, dense) so both schedulers
    share one id space per trace and allocation order — and therefore
    the trace bytes — stay deterministic per seed.  Durations land in
-   the "span.duration" histogram + sketch on end.  A span that never
+   the "span.duration" sketch on end.  A span that never
    ends (its fiber was cancelled or captured away) just stays open;
    the checker's span-balance rule tolerates that, matching the
    cancellation model where cleanup is declined reinstatement. *)

@@ -6,7 +6,7 @@
     lifecycle into analyzable data: a typed, timestamped,
     sequence-numbered event stream ({!Event}) covering
     spawn/exit, run slices, park/wake, capture/reinstate, channel
-    send/recv and deadlock, plus counters and fixed-bucket histograms
+    send/recv and deadlock, plus counters and quantile sketches
     ({!Metrics}).
 
     Both schedulers ([Pcont_pstack.Concur.run] and [Pcont_sched.Sched.run])
@@ -189,17 +189,12 @@ end
 
 (** {1 Metrics}
 
-    Counters plus fixed-bucket histograms.  Built on (and usually
+    Counters plus named quantile sketches.  Built on (and usually
     sharing) a {!Pcont_util.Counters.t}, so machine counters and
     scheduler metrics land in one table. *)
 
 module Metrics : sig
   type t
-
-  type hist
-  (** A fixed-bucket histogram over non-negative ints with
-      power-of-two bucket bounds 1, 2, 4, …, 2{^20} plus an overflow
-      bucket. *)
 
   (** A DDSketch-style mergeable quantile sketch over non-negative
       ints.  Log-spaced buckets with ratio gamma = (1+alpha)/(1-alpha)
@@ -256,61 +251,28 @@ module Metrics : sig
 
   val add : t -> string -> int -> unit
 
+  val series : t -> string -> Sketch.t
+  (** The sketch named [name], created on first use.  A metrics series
+      {e is} its sketch: count, sum and max are exact, quantiles are
+      within the error bound.  Scheduler hot paths resolve their series
+      once per run and call {!Sketch.observe} per slice, one array
+      bump. *)
+
   val observe : t -> string -> int -> unit
-  (** Record one observation under [name], creating the views on first
-      use.  Every observation feeds both the histogram (exact bucket
-      counts) and the sketch (quantiles within the error bound), so
-      they always agree on count/sum/max.  Values are clamped below
-      at 0. *)
-
-  type series
-  (** A pre-resolved handle on one named distribution (its histogram and
-      sketch).  Scheduler hot paths observe once per slice; resolving
-      the name once per run keeps the per-slice cost at two array
-      bumps. *)
-
-  val series : t -> string -> series
-  (** Resolve [name] to its views, creating them on first use. *)
-
-  val observe_series : series -> int -> unit
-  (** [observe] without the per-call name lookup. *)
-
-  val find : t -> string -> hist option
-
-  val hists : t -> (string * hist) list
-  (** All histograms, sorted by name. *)
+  (** [observe t name v] is [Sketch.observe (series t name) v].  Values
+      are clamped below at 0. *)
 
   val find_sketch : t -> string -> Sketch.t option
 
   val sketches : t -> (string * Sketch.t) list
-  (** All sketches, sorted by name. *)
-
-  val quantile : t -> string -> float -> float
-  (** [quantile t name q] reads the named sketch; 0. when absent. *)
+  (** All series, sorted by name. *)
 
   val merge : t -> t -> unit
-  (** [merge dst src] folds [src] into [dst]: counters add, histograms
-      add bucket-wise, sketches merge bucket-wise.  Histograms must
-      have the same bounds and sketches the same error bound
-      ([Invalid_argument] otherwise).  [src] is left untouched.
+  (** [merge dst src] folds [src] into [dst]: counters add, sketches
+      merge bucket-wise (lossless; sketches must share the error bound,
+      [Invalid_argument] otherwise).  [src] is left untouched.
       Groundwork for per-domain metrics buffers: domains observe
       locally, a collector merges. *)
-
-  val hist_count : hist -> int
-
-  val hist_sum : hist -> int
-
-  val hist_max : hist -> int
-
-  val hist_mean : hist -> float
-  (** 0. when empty. *)
-
-  val hist_buckets : hist -> (string * int) list
-  (** Non-empty buckets as [("<=N", count)] pairs, overflow last as
-      [(">N", count)]. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** Counters, then histograms (empty histograms omitted). *)
 end
 
 (** {1 Handles} *)
@@ -385,8 +347,7 @@ module Span : sig
 
   val end_ : t -> pid:int -> int -> unit
   (** Emit {!Event.Span_end}; if the span was open, observe its
-      duration (virtual time) in the ["span.duration"]
-      histogram + sketch. *)
+      duration (virtual time) in the ["span.duration"] sketch. *)
 
   val open_count : t -> int
   (** Spans begun but not yet ended. *)

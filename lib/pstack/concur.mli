@@ -92,7 +92,7 @@ val run :
     O(runnable), not O(runnable + blocked).  When the queue drains while
     parked branches remain, the run terminates with {!Deadlock} instead
     of burning the remaining fuel.  A capture that prunes parked
-    branches into a process continuation invalidates their wake thunks
+    branches into a process continuation invalidates their park entries
     and captures them as ordinary suspended leaves: grafting the
     continuation re-applies their pending touches, which find the cell
     resolved or park again.
@@ -101,7 +101,7 @@ val run :
     scheduler emits the full process-lifecycle event stream —
     spawn/exit, run slices with fuel charged, park/wake,
     capture/reinstate with control-point counts and segment totals,
-    deadlock — and records the [concur.*] histograms (fuel per slice,
+    deadlock — and records the [concur.*] metric series (fuel per slice,
     run-queue depth, capture size, park latency in rounds).  Events are
     stamped with a deterministic virtual clock (cumulative fuel), so a
     fixed seed yields a byte-stable trace.  With no handle the

@@ -4,7 +4,7 @@ module E = Pcont_obs.Obs.Event
 exception Closed
 
 type 'a t = {
-  id : int;  (* per-run id tagging the channel's trace events *)
+  hook : Sched.chan_hook;  (* per-run id tagging trace events, Fdrop hook *)
   buf : (int * 'a) Queue.t;  (* (sender's span, value): receivers adopt it *)
   capacity : int;
   mutable closed : bool;
@@ -14,24 +14,20 @@ type 'a t = {
 
 let create ?(capacity = 16) () =
   if capacity <= 0 then invalid_arg "Channel.create: capacity must be positive";
-  let ch =
-    {
-      id = Sched.fresh_chan_id ();
-      buf = Queue.create ();
-      capacity;
-      closed = false;
-      senders = Sched.Waitset.create "channel.send";
-      receivers = Sched.Waitset.create "channel.recv";
-    }
-  in
-  (* Fault-injection hook (Fdrop): losing a buffered message frees a
-     slot, so parked senders must be woken exactly as a real consumer
-     would wake them. *)
-  Sched.register_dropper ch.id (fun () ->
-      match Queue.take_opt ch.buf with
-      | Some _ -> Some ch.senders
-      | None -> None);
-  ch
+  let buf = Queue.create () and senders = Sched.Waitset.create "channel.send" in
+  {
+    (* Fault-injection hook (Fdrop): losing a buffered message frees a
+       slot, so parked senders must be woken exactly as a real consumer
+       would wake them. *)
+    hook = Sched.chan_hook (fun () -> Option.map (fun _ -> senders) (Queue.take_opt buf));
+    buf;
+    capacity;
+    closed = false;
+    senders;
+    receivers = Sched.Waitset.create "channel.recv";
+  }
+
+let id ch = Sched.chan_id ch.hook
 
 (* Blocked operations park on the channel's waitsets and re-check on
    wake-up (the scheduler is cooperative, so there is no check-then-park
@@ -50,7 +46,7 @@ let rec send ch v =
     Queue.add (Sched.Span.current (), v) ch.buf;
     (match Sched.obs () with
     | None -> ()
-    | Some o -> Obs.emit o (E.Send { pid = Sched.self_pid (); chan = ch.id }));
+    | Some o -> Obs.emit o (E.Send { pid = Sched.self_pid (); chan = id ch }));
     Sched.wake ch.receivers
   end
 
@@ -60,7 +56,7 @@ let try_recv ch =
       Sched.Span.adopt span;
       (match Sched.obs () with
       | None -> ()
-      | Some o -> Obs.emit o (E.Recv { pid = Sched.self_pid (); chan = ch.id }));
+      | Some o -> Obs.emit o (E.Recv { pid = Sched.self_pid (); chan = id ch }));
       (* Even a non-blocking take frees a slot: wake parked senders or
          they would miss it and sit parked forever. *)
       Sched.wake ch.senders;
@@ -73,7 +69,7 @@ let rec recv_opt ch =
       Sched.Span.adopt span;
       (match Sched.obs () with
       | None -> ()
-      | Some o -> Obs.emit o (E.Recv { pid = Sched.self_pid (); chan = ch.id }));
+      | Some o -> Obs.emit o (E.Recv { pid = Sched.self_pid (); chan = id ch }));
       Sched.wake ch.senders;
       Some v
   | None ->

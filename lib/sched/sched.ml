@@ -122,16 +122,37 @@ let u_unit = inj_unit ()
 (* are allocated per run so traces of identical runs are identical.    *)
 (* ------------------------------------------------------------------ *)
 
+(* A channel's per-run id and its Fdrop hook: how to discard one
+   buffered element, returning the waitset to wake since dropping frees
+   capacity. *)
+type chan_hook = { chan_id : int; drop : unit -> waitset option }
+
+(* Hooks are registered only in a run with a fault injector, the only
+   source of Fdrop, and held weakly there: a channel keeps its own hook
+   alive, so one that becomes unreachable leaves the registry instead
+   of living until the run ends.  An unreachable channel has no parked
+   senders (their continuations would reach it), so forgetting its hook
+   changes no Fdrop outcome.  A weak table alone is not enough for long
+   runs: its slots track how many channels die between collections, so
+   it still grows with run length (1.6x live words from 10^5 to 10^6
+   fresh channels). *)
+module Hooks = Weak.Make (struct
+  type t = chan_hook
+
+  let equal a b = a.chan_id = b.chan_id
+
+  let hash h = h.chan_id
+end)
+
 type ctx = {
   k : K.t;
   mutable labels : int;
   mutable chan_ids : int;
-  mutable droppers : (int * (unit -> waitset option)) list;
-      (* Fdrop hooks: how to discard one buffered element of a channel,
-         returning the waitset to wake since dropping frees capacity *)
+  hooks : Hooks.t option;  (* [Some] iff the run injects faults *)
 }
 
-let new_ctx k = { k; labels = 0; chan_ids = 0; droppers = [] }
+let new_ctx ?inject k =
+  { k; labels = 0; chan_ids = 0; hooks = Option.map (fun _ -> Hooks.create 16) inject }
 
 (* Outside any run. *)
 let cur =
@@ -148,14 +169,14 @@ let self_pid () = !cur.k.cur_pid
 
 let now () = !cur.k.clock
 
-let fresh_chan_id () =
+let chan_hook drop =
   let c = !cur in
   c.chan_ids <- c.chan_ids + 1;
-  c.chan_ids
+  let h = { chan_id = c.chan_ids; drop } in
+  Option.iter (fun hooks -> Hooks.add hooks h) c.hooks;
+  h
 
-let register_dropper id f =
-  let c = !cur in
-  c.droppers <- (id, f) :: c.droppers
+let chan_id h = h.chan_id
 
 (* Control points (labels and forks) and node count of a captured
    subtree — the quantities the paper's complexity claim is stated in. *)
@@ -223,7 +244,7 @@ let run ?(policy = Tree_order) ?obs ?inject (type a) (main : unit -> a) : a =
       ~on_wake:ignore
       (Start (fun () -> inj_a (main ())))
   in
-  let ctx = new_ctx k in
+  let ctx = new_ctx ?inject k in
   let failure = ref None in
   (* Global slice index, the unit fault placements are expressed in. *)
   let nslices = ref 0 in
@@ -385,9 +406,10 @@ let run ?(policy = Tree_order) ?obs ?inject (type a) (main : unit -> a) : a =
         | Some o ->
             Obs.emit o
               (E.Crash { pid = -1; fault = "inject:drop:" ^ string_of_int chan }));
-        match List.assoc_opt chan ctx.droppers with
+        let probe = { chan_id = chan; drop = (fun () -> None) } in
+        match Option.bind ctx.hooks (fun hooks -> Hooks.find_opt hooks probe) with
         | None -> ()
-        | Some drop -> Option.iter (K.wake_ws k) (drop ()))
+        | Some h -> Option.iter (K.wake_ws k) (h.drop ()))
   in
 
   (* One slice: run the fiber to its next request, which is charged one

@@ -83,7 +83,7 @@ type fault =
           a waiter that proceeds exposed a missing re-check loop. *)
   | Fdrop of int
       (** silently drop one buffered message from the channel with this
-          id (see {!fresh_chan_id}), waking its senders as a real
+          id (see {!chan_hook}), waking its senders as a real
           consumer would.  A no-op for unknown or empty channels. *)
 
 type 'r controller
@@ -104,7 +104,7 @@ val run :
     run slices (each slice runs a fiber to its next suspension and is
     charged one fuel unit), park/wake, capture/reinstate with
     control-point counts and subtree sizes, deadlock — and records the
-    [sched.*] histograms (slice fuel, run-queue depth, capture size,
+    [sched.*] metric series (slice fuel, run-queue depth, capture size,
     park latency in rounds).  Timestamps are a deterministic virtual
     clock (cumulative slices), so a fixed policy yields a byte-stable
     trace.  Controller labels and channel ids are allocated per run
@@ -240,15 +240,20 @@ val obs : unit -> Pcont_obs.Obs.t option
 val self_pid : unit -> int
 (** The node id of the fiber currently being stepped. *)
 
-val fresh_chan_id : unit -> int
-(** Allocate a resource id (used by {!Channel}).  Ids restart at 1 in
-    each {!run} so traces of identical runs are identical. *)
+type chan_hook
+(** A channel's per-run id and its {!Fdrop} hook. *)
 
-val register_dropper : int -> (unit -> Waitset.t option) -> unit
-(** Register the {!Fdrop} hook for a channel id: the thunk drops one
-    buffered message if any and returns the waitset to wake (senders
-    parked on a full buffer), or [None] when there was nothing to drop.
-    Called by {!Channel.create}; registrations are per-run. *)
+val chan_hook : (unit -> Waitset.t option) -> chan_hook
+(** [chan_hook drop] allocates a channel id and registers [drop] as its
+    {!Fdrop} hook: the thunk drops one buffered message if any and
+    returns the waitset to wake (senders parked on a full buffer), or
+    [None] when there was nothing to drop.  Ids restart at 1 in each
+    {!run} so traces of identical runs are identical.  Only a run given
+    [?inject] registers hooks, and it holds them weakly, for as long as
+    the returned value is reachable: {!Channel.create} keeps it in the
+    channel, so an unreachable channel costs the run nothing. *)
+
+val chan_id : chan_hook -> int
 
 (** {1 Causal spans}
 

@@ -113,6 +113,45 @@ let test_attribution_sums () =
         (Obs.Metrics.Sketch.count st.Load.st_latency))
     Load.scenarios
 
+(* ---------------- the handle's per-scenario series ---------------- *)
+
+let sketch_fp sk =
+  let module Sk = Obs.Metrics.Sketch in
+  Printf.sprintf "n=%d sum=%d max=%d p50=%g p99=%g p999=%g" (Sk.count sk) (Sk.sum sk)
+    (Sk.max sk) (Sk.quantile sk 0.5) (Sk.quantile sk 0.99) (Sk.quantile sk 0.999)
+
+(* Load.run observes each phase once, into its stats, and merges the
+   stats into the handle's load.<scenario>.* series at run end: the
+   series equal the stats after one run and hold every run after
+   several, while each run's stats stay its own. *)
+let test_series_merge () =
+  let o = Obs.create () in
+  let series suffix =
+    match Obs.Metrics.find_sketch (Obs.metrics o) ("load.pool." ^ suffix) with
+    | Some sk -> sk
+    | None -> Alcotest.failf "no load.pool.%s series" suffix
+  in
+  let phases (st : Load.stats) =
+    [ ("latency", st.st_latency); ("queue", st.st_queue); ("service", st.st_service);
+      ("wake", st.st_wake); ("join", st.st_join) ]
+  in
+  let st1 = Load.run ~obs:o tiny ~seed:1L Load.Pool in
+  List.iter
+    (fun (suffix, sk) ->
+      Alcotest.(check string) ("one run: " ^ suffix) (sketch_fp sk) (sketch_fp (series suffix)))
+    (phases st1);
+  let fp1 = sketch_fp st1.st_latency in
+  let st2 = Load.run ~obs:o tiny ~seed:2L Load.Pool in
+  let both = Obs.Metrics.Sketch.create () in
+  Obs.Metrics.Sketch.merge both st1.st_latency;
+  Obs.Metrics.Sketch.merge both st2.st_latency;
+  Alcotest.(check string) "two runs: the series holds both" (sketch_fp both)
+    (sketch_fp (series "latency"));
+  Alcotest.(check string) "the first stats hold only the first run" fp1
+    (sketch_fp st1.st_latency);
+  Alcotest.(check int) "the second stats hold only the second run" st2.st_completed
+    (Obs.Metrics.Sketch.count st2.st_latency)
+
 (* ---------------- deadlines and the Summary fate column ------------ *)
 
 let test_timeouts_reach_summary () =
@@ -234,7 +273,10 @@ let () =
             test_stats_deterministic;
         ] );
       ( "attribution",
-        [ Alcotest.test_case "phases sum exactly" `Quick test_attribution_sums ] );
+        [
+          Alcotest.test_case "phases sum exactly" `Quick test_attribution_sums;
+          Alcotest.test_case "handle series merge the stats" `Quick test_series_merge;
+        ] );
       ( "deadlines",
         [
           Alcotest.test_case "timeouts reach the summary fate" `Quick

@@ -129,39 +129,41 @@ let test_json_to_string () =
 
 (* ---------------- metrics ---------------- *)
 
-let test_metrics_histogram () =
-  let m = Obs.Metrics.create () in
-  List.iter (Obs.Metrics.observe m "h") [ 0; 1; 2; 3; 9; 3_000_000 ];
-  match Obs.Metrics.find m "h" with
-  | None -> Alcotest.fail "histogram not created"
-  | Some h ->
-      Alcotest.(check int) "count" 6 (Obs.Metrics.hist_count h);
-      Alcotest.(check int) "sum" 3_000_015 (Obs.Metrics.hist_sum h);
-      Alcotest.(check int) "max" 3_000_000 (Obs.Metrics.hist_max h);
-      let buckets = Obs.Metrics.hist_buckets h in
-      Alcotest.(check (list (pair string int)))
-        "buckets"
-        [ ("<=1", 2); ("<=2", 1); ("<=4", 1); ("<=16", 1) ]
-        (List.filter (fun (l, _) -> l.[0] = '<') buckets);
-      Alcotest.(check bool) "overflow bucket" true
-        (List.mem_assoc ">1048576" buckets)
+let sketch_of m name =
+  match Obs.Metrics.find_sketch m name with
+  | Some sk -> sk
+  | None -> Alcotest.failf "series %s not created" name
 
+(* A series is a log-bucketed histogram (a DDSketch): count, sum and max
+   are exact, zeros are counted exactly, negatives clamp to 0, and every
+   quantile is within the relative-error bound of a true observation. *)
+let test_metrics_histogram () =
+  let module Sk = Obs.Metrics.Sketch in
+  let m = Obs.Metrics.create () in
+  List.iter (Obs.Metrics.observe m "h") [ 0; 1; 2; 3; 9; 3_000_000; -5 ];
+  let sk = sketch_of m "h" in
+  Alcotest.(check bool) "series is the named sketch" true (Obs.Metrics.series m "h" == sk);
+  Alcotest.(check int) "count" 7 (Sk.count sk);
+  Alcotest.(check int) "sum" 3_000_015 (Sk.sum sk);
+  Alcotest.(check int) "max" 3_000_000 (Sk.max sk);
+  Alcotest.(check (float 0.)) "zeros exact" 0. (Sk.quantile sk 0.2);
+  let near v est = Float.abs (est -. v) /. v <= Sk.alpha sk in
+  Alcotest.(check bool) "p50 near 2" true (near 2. (Sk.quantile sk 0.5));
+  Alcotest.(check bool) "p100 near max" true (near 3e6 (Sk.quantile sk 1.))
+
+(* Values far past the sketch's initial bucket array grow it rather
+   than spilling into an overflow bucket: nothing is lost, and the top
+   quantiles still resolve each large value. *)
 let test_metrics_overflow_bucket () =
-  (* Values past the last bound land in the overflow bucket, which must
-     render as ">N" (not "<=N") both in hist_buckets and in pp output. *)
+  let module Sk = Obs.Metrics.Sketch in
   let m = Obs.Metrics.create () in
   List.iter (Obs.Metrics.observe m "big") [ 2_000_000; 5_000_000 ];
-  (match Obs.Metrics.find m "big" with
-  | None -> Alcotest.fail "histogram not created"
-  | Some h ->
-      Alcotest.(check (list (pair string int)))
-        "only the overflow bucket"
-        [ (">1048576", 2) ]
-        (Obs.Metrics.hist_buckets h));
-  let rendered = Format.asprintf "%a" Obs.Metrics.pp m in
-  Alcotest.(check bool) "pp shows >N row" true (contains ~needle:">1048576" rendered);
-  Alcotest.(check bool) "pp shows stats" true
-    (contains ~needle:"n=2 sum=7000000 max=5000000" rendered)
+  let sk = sketch_of m "big" in
+  Alcotest.(check (list int)) "n sum max" [ 2; 7_000_000; 5_000_000 ]
+    [ Sk.count sk; Sk.sum sk; Sk.max sk ];
+  let near v est = Float.abs (est -. v) /. v <= Sk.alpha sk in
+  Alcotest.(check bool) "p0 near 2e6" true (near 2e6 (Sk.quantile sk 0.));
+  Alcotest.(check bool) "p100 near 5e6" true (near 5e6 (Sk.quantile sk 1.))
 
 let test_metrics_share_counters () =
   let c = C.create () in

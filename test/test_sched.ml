@@ -686,6 +686,23 @@ let test_fwake_skips_stale_entries () =
     [ (1, "channel.recv"); (4, "channel.recv") ]
     (wakes [] (after_marker (List.rev !events)))
 
+let test_fdrop_live_channel () =
+  (* An injected drop finds its channel through the run's weakly held
+     hooks, after a full collection, and loses the oldest buffered
+     message. *)
+  let inject i = if i = 2 then Some (S.Fdrop 1) else None in
+  let got =
+    S.run ~inject (fun () ->
+        let ch = Ch.create ~capacity:4 () in
+        List.iter (Ch.send ch) [ 1; 2; 3 ];
+        Gc.full_major ();
+        for _ = 1 to 4 do
+          S.yield ()
+        done;
+        List.filter_map (fun _ -> Ch.try_recv ch) [ 1; 2; 3 ])
+  in
+  Alcotest.(check (list int)) "one message dropped" [ 2; 3 ] got
+
 let test_waitset_block_wake () =
   (* The primitive user-level protocol: park on a waitset, re-check on
      wake-up. *)
@@ -922,6 +939,7 @@ let () =
           Alcotest.test_case "exact diagnosis" `Quick test_deadlock_exact_message;
           Alcotest.test_case "Fwake skips stale entries" `Quick
             test_fwake_skips_stale_entries;
+          Alcotest.test_case "Fdrop reaches a live channel" `Quick test_fdrop_live_channel;
           Alcotest.test_case "waitset block/wake" `Quick test_waitset_block_wake;
           Alcotest.test_case "close wakes parked sender" `Quick
             test_close_wakes_parked_sender;

@@ -2,7 +2,9 @@
    history.  Each workload runs at 10^4 and at 10^5 operations and reads
    the live heap words after a full major collection from inside the
    run, while the scheduler's state is still reachable; ten times the
-   operations may cost at most 10% more live words. *)
+   operations may cost at most 10% more live words.  Given [--long] as
+   its first argument (the [soak] alias), the suite runs 10^5 against
+   10^6 operations under the same rule. *)
 
 module S = Pcont_sched.Sched
 module Ch = Pcont_sched.Channel
@@ -14,12 +16,15 @@ let live_words () =
   Gc.full_major ();
   (Gc.stat ()).live_words
 
+let long = Array.length Sys.argv > 1 && Sys.argv.(1) = "--long"
+
 let check_flat name workload =
-  let small = workload 10_000 and large = workload 100_000 in
+  let n = if long then 100_000 else 10_000 in
+  let small = workload n and large = workload (10 * n) in
   let bound = float_of_int small *. 1.1 in
   if float_of_int large > bound then
-    Alcotest.failf "%s: %d live words at 10^5 operations, above 1.1 x %d at 10^4" name
-      large small
+    Alcotest.failf "%s: %d live words at %d operations, above 1.1 x %d at %d" name large
+      (10 * n) small n
 
 (* ---------------- native scheduler ---------------- *)
 
@@ -38,6 +43,17 @@ let ping_pong n =
               Ch.send pong (Ch.recv ping)
             done)
       in
+      live_words ())
+
+(* A fresh 1-slot channel per operation: a channel nobody can reach
+   any more must not stay registered with the run. *)
+let fresh_channels n =
+  S.run (fun () ->
+      for i = 1 to n do
+        let ch = Ch.create ~capacity:1 () in
+        Ch.send ch i;
+        ignore (Ch.recv ch)
+      done;
       live_words ())
 
 let sleep_loop n =
@@ -104,12 +120,15 @@ let pstack_sleep_loop =
        (begin (loop %d) (live-words)))"
 
 let () =
-  Alcotest.run "soak"
+  (* [--long] is this suite's own flag: Alcotest must not see it *)
+  Alcotest.run ~argv:(if long then [| Sys.argv.(0) |] else Sys.argv) "soak"
     [
       ( "native",
         [
           Alcotest.test_case "channel ping-pong" `Quick (fun () ->
               check_flat "ping-pong" ping_pong);
+          Alcotest.test_case "fresh channels" `Quick (fun () ->
+              check_flat "fresh channels" fresh_channels);
           Alcotest.test_case "sleep loop" `Quick (fun () ->
               check_flat "sleep" sleep_loop);
           Alcotest.test_case "timeout scopes" `Quick (fun () ->

@@ -294,24 +294,20 @@ let test_metrics_merge () =
     (Pcont_util.Counters.get (Obs.Metrics.counters dst) "c");
   Alcotest.(check int) "src-only counter copied" 1
     (Pcont_util.Counters.get (Obs.Metrics.counters dst) "only-src");
-  (match Obs.Metrics.find dst "h" with
-  | None -> Alcotest.fail "merged histogram missing"
-  | Some h ->
-      Alcotest.(check int) "hist count" 5 (Obs.Metrics.hist_count h);
-      Alcotest.(check int) "hist sum" 306 (Obs.Metrics.hist_sum h);
-      Alcotest.(check int) "hist max" 200 (Obs.Metrics.hist_max h));
-  (match Obs.Metrics.find dst "h2" with
-  | None -> Alcotest.fail "src-only histogram missing"
-  | Some h -> Alcotest.(check int) "src-only count" 1 (Obs.Metrics.hist_count h));
-  Alcotest.(check int) "sketch merged too" 5
-    (match Obs.Metrics.find_sketch dst "h" with
+  let count m name =
+    match Obs.Metrics.find_sketch m name with
     | Some sk -> Obs.Metrics.Sketch.count sk
-    | None -> -1);
+    | None -> -1
+  in
+  (match Obs.Metrics.find_sketch dst "h" with
+  | None -> Alcotest.fail "merged series missing"
+  | Some sk ->
+      Alcotest.(check int) "count" 5 (Obs.Metrics.Sketch.count sk);
+      Alcotest.(check int) "sum" 306 (Obs.Metrics.Sketch.sum sk);
+      Alcotest.(check int) "max" 200 (Obs.Metrics.Sketch.max sk));
+  Alcotest.(check int) "src-only series copied" 1 (count dst "h2");
   (* src is read-only under merge. *)
-  Alcotest.(check int) "src untouched" 2
-    (match Obs.Metrics.find src "h" with
-    | Some h -> Obs.Metrics.hist_count h
-    | None -> -1)
+  Alcotest.(check int) "src untouched" 2 (count src "h")
 
 (* ---------------- sink fan-out hardening ---------------- *)
 
