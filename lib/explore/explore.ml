@@ -568,8 +568,8 @@ module Dpor = struct
                   let pruned =
                     Array.fold_left
                       (fun acc (n : Trace.node) ->
-                        match n.Trace.n_pruned_ts with
-                        | Some t when t = st.ts -> n.Trace.n_pid :: acc
+                        match n.r_pruned_ts with
+                        | Some t when t = st.ts -> n.r_pid :: acc
                         | _ -> acc)
                       [] run.Trace.r_nodes
                   in

@@ -286,8 +286,7 @@ type acc = {
   a_wk : Sketch.t;
   a_jn : Sketch.t;
   a_tl : Sketch.t;
-  mutable a_jain_s : float;
-  mutable a_jain_s2 : float;
+  a_jain : Obs.Metrics.Jain.t;  (* over completed-request latencies *)
   mutable a_resid : int;
 }
 
@@ -312,9 +311,7 @@ let record acc req t4 =
   Sketch.observe acc.a_sv sv;
   Sketch.observe acc.a_wk wk;
   Sketch.observe acc.a_jn jn;
-  let fl = float_of_int l in
-  acc.a_jain_s <- acc.a_jain_s +. fl;
-  acc.a_jain_s2 <- acc.a_jain_s2 +. (fl *. fl);
+  Obs.Metrics.Jain.add acc.a_jain (float_of_int l);
   let r = abs (q + sv + wk + jn - l) in
   if r > acc.a_resid then acc.a_resid <- r
 
@@ -371,8 +368,7 @@ let run ?obs ?(policy = Sched.Tree_order) p ~seed scen =
       a_wk = Sketch.create ();
       a_jn = Sketch.create ();
       a_tl = Sketch.create ();
-      a_jain_s = 0.;
-      a_jain_s2 = 0.;
+      a_jain = Obs.Metrics.Jain.create ();
       a_resid = 0;
     }
   in
@@ -429,11 +425,6 @@ let run ?obs ?(policy = Sched.Tree_order) p ~seed scen =
     (fun (suffix, sk) -> Sketch.merge (Obs.Metrics.series m ("load." ^ name ^ suffix)) sk)
     [ (".latency", acc.a_lat); (".queue", acc.a_q); (".service", acc.a_sv);
       (".wake", acc.a_wk); (".join", acc.a_jn) ];
-  let jain =
-    let c = float_of_int acc.a_completed in
-    if acc.a_completed = 0 || acc.a_jain_s2 <= 0. then 1.
-    else acc.a_jain_s *. acc.a_jain_s /. (c *. acc.a_jain_s2)
-  in
   {
     st_scenario = name;
     st_requests = n;
@@ -447,7 +438,7 @@ let run ?obs ?(policy = Sched.Tree_order) p ~seed scen =
       (if !duration > 0 then
          float_of_int acc.a_completed *. 1000. /. float_of_int !duration
        else 0.);
-    st_fairness = jain;
+    st_fairness = Obs.Metrics.Jain.index acc.a_jain;
     st_latency = acc.a_lat;
     st_queue = acc.a_q;
     st_service = acc.a_sv;

@@ -4,8 +4,8 @@
     that format back into typed {!Obs.Event.t} values, splits a trace
     into runs (a [psi] session traces one run per top-level form, with
     global [seq]/[ts] but per-run pids), and reconstructs each run's
-    process tree with per-node timelines — the substrate for
-    {!Analysis}'s checker, causal report and diff.
+    process tree — a fresh {!Obs.Fold} plus the slice index the causal
+    report's critical path walks.
 
     Parsing is tolerant: any well-formed line is accepted even when the
     event stream it describes is inconsistent (that is {!Analysis.Check}'s
@@ -40,29 +40,7 @@ val runs : stamped array -> stamped array array
 
 (** {1 Process-tree reconstruction} *)
 
-type node = {
-  n_pid : int;
-  n_parent : int;  (** [-1] for the root *)
-  n_kind : string;
-  n_spawn_ts : int;
-  mutable n_children : int list;  (** pids, in spawn order *)
-  mutable n_exit_ts : int option;
-  mutable n_pruned_ts : int option;
-      (** set when an ancestor's capture pruned this node *)
-  mutable n_slices : int;
-  mutable n_run : int;  (** total virtual time inside run slices *)
-  mutable n_fuel : int;
-  mutable n_parks : int;
-  mutable n_wakes : int;
-  mutable n_captures : int;
-  mutable n_reinstates : int;
-  mutable n_sends : int;
-  mutable n_recvs : int;
-  mutable n_blocked : (string * int) list;
-      (** virtual time parked, per resource, park-order; a park cut
-          short by a capture-prune or the end of the run still counts
-          up to that point *)
-}
+type node = Obs.Fold.proc
 
 type slice = {
   sl_pid : int;
@@ -74,27 +52,31 @@ type slice = {
 
 type run = {
   r_events : stamped array;
-  r_nodes : node array;  (** sorted by pid *)
+  r_fold : Obs.Fold.t;  (** a fresh {!Obs.Fold} over [r_events] *)
+  r_nodes : node array;  (** the rows of the pids spawned in the run, by pid *)
+  r_closed : (Obs.Fold.span * int) list;
+      (** the spans the run closed, with their end ts, in close order *)
   r_slices : slice array;  (** in begin order *)
   r_actor : int array;
       (** for each event index, the index in [r_slices] of the slice
           open at that event, or [-1] when none is (root spawn,
           deadlock, events between runs) *)
-  r_first_ts : int;
-  r_span : int;  (** last ts − first ts *)
-  r_deadlock : int option;
 }
 
 val node_of : run -> int -> node option
 
 val reconstruct : stamped array -> run
-(** Build the tree and timelines for one run (one element of {!runs}).
-    Tolerant of inconsistent streams: unmatched slice ends, unknown
-    pids and double wakes are skipped rather than raised — run
-    {!Analysis.Check} to surface them. *)
+(** Fold one run (one element of {!runs}) and index its slices for the
+    critical path.  Tolerant of inconsistent streams: unmatched slice
+    ends, unknown pids and double wakes are skipped rather than raised
+    — run {!Analysis.Check} to surface them. *)
+
+val span : run -> int
+(** Last ts − first ts. *)
 
 val blocked_total : run -> (string * int) list
-(** Total parked virtual time per resource, sorted by resource name. *)
+(** Total parked virtual time per resource, sorted by resource name; a
+    park still open at the end of the run counts up to its last ts. *)
 
 val schedule : run -> int array
 (** The run's schedule: the pid of each slice in begin order.  Under a

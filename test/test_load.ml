@@ -167,7 +167,7 @@ let test_timeouts_reach_summary () =
     (Obs.Metrics.Sketch.count st.Load.st_tlat);
   let timed_out_rows =
     List.filter
-      (fun (_, r) -> r.Obs.Summary.r_fate = "timed-out")
+      (fun (_, r) -> r.Obs.Fold.r_fate = "timed-out")
       (Obs.Summary.rows summary)
   in
   if List.length timed_out_rows < st.Load.st_timedout then

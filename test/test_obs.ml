@@ -380,9 +380,9 @@ let test_summary_totals () =
   Obs.close o;
   let rows = Obs.Summary.rows s in
   Alcotest.(check bool) "several processes" true (List.length rows > 3);
-  let total_fuel = List.fold_left (fun acc (_, r) -> acc + r.Obs.Summary.r_fuel) 0 rows in
-  let total_sends = List.fold_left (fun acc (_, r) -> acc + r.Obs.Summary.r_sends) 0 rows in
-  let total_recvs = List.fold_left (fun acc (_, r) -> acc + r.Obs.Summary.r_recvs) 0 rows in
+  let total_fuel = List.fold_left (fun acc (_, r) -> acc + r.Obs.Fold.r_fuel) 0 rows in
+  let total_sends = List.fold_left (fun acc (_, r) -> acc + r.Obs.Fold.r_sends) 0 rows in
+  let total_recvs = List.fold_left (fun acc (_, r) -> acc + r.Obs.Fold.r_recvs) 0 rows in
   Alcotest.(check bool) "fuel accumulated" true (total_fuel > 0);
   Alcotest.(check int) "channel conservation" total_sends total_recvs
 

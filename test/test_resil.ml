@@ -420,7 +420,7 @@ let test_summary_fates () =
     List.sort_uniq compare
       (List.filter_map
          (fun (_, r) ->
-           if r.Obs.Summary.r_fate = "" then None else Some r.Obs.Summary.r_fate)
+           if r.Obs.Fold.r_fate = "" then None else Some r.Obs.Fold.r_fate)
          (Obs.Summary.rows s))
   in
   List.iter
@@ -428,7 +428,7 @@ let test_summary_fates () =
       Alcotest.(check bool) (fate ^ " present") true (List.mem fate fates))
     [ "cancelled"; "crashed"; "restarted" ];
   Alcotest.(check bool) "cancelled-while-parked counted" true
-    (Obs.Summary.cancelled_parked s >= 1)
+    (s.Obs.Fold.cancelled_parked >= 1)
 
 let () =
   Alcotest.run "resil"
