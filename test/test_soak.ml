@@ -119,6 +119,40 @@ let pstack_sleep_loop =
     "(letrec ([loop (lambda (i) (if (= i 0) 0 (begin (sleep 1) (loop (- i 1)))))])
        (begin (loop %d) (live-words)))"
 
+(* ---------------- ptrace top ---------------- *)
+
+(* A root spawns fibers one after another; each parks on a timer, is
+   woken, runs and exits.  ptrace top's state must follow the one live
+   fiber, not every fiber the run has seen. *)
+let top_sequential n =
+  let module E = Pcont_obs.Obs.Event in
+  let module Snapshot = Pcont_obs.Analysis.Snapshot in
+  let snap = Snapshot.create () in
+  let seq = ref 0 and ts = ref 0 in
+  let feed ev =
+    Snapshot.feed snap { Pcont_obs.Trace.seq = !seq; ts = !ts; ev };
+    incr seq
+  in
+  feed (E.Spawn { pid = 0; parent = -1; kind = "root" });
+  for pid = 1 to n do
+    feed (E.Slice_begin { pid = 0 });
+    feed (E.Spawn { pid; parent = 0; kind = "branch" });
+    incr ts;
+    feed (E.Slice_end { pid = 0; fuel = 1 });
+    feed (E.Slice_begin { pid });
+    feed (E.Park { pid; resource = "timer" });
+    incr ts;
+    feed (E.Slice_end { pid; fuel = 1 });
+    feed (E.Wake { pid; resource = "timer" });
+    feed (E.Slice_begin { pid });
+    feed (E.Exit { pid });
+    incr ts;
+    feed (E.Slice_end { pid; fuel = 1 })
+  done;
+  let words = live_words () in
+  ignore (Sys.opaque_identity snap);
+  words
+
 let () =
   (* [--long] is this suite's own flag: Alcotest must not see it *)
   Alcotest.run ~argv:(if long then [| Sys.argv.(0) |] else Sys.argv) "soak"
@@ -142,5 +176,10 @@ let () =
               check_flat "future/touch" future_touch_loop);
           Alcotest.test_case "sleep loop" `Quick (fun () ->
               check_flat "sleep" pstack_sleep_loop);
+        ] );
+      ( "analysis",
+        [
+          Alcotest.test_case "top over sequential fibers" `Quick (fun () ->
+              check_flat "top" top_sequential);
         ] );
     ]
