@@ -10,6 +10,8 @@ type ('l, 'w, 'v) node = {
   nid : int;
   mutable parent : ('l, 'w, 'v) parent;
   mutable body : ('l, 'w, 'v) body;
+  mutable span : int;
+  mutable woke : int;
 }
 
 and ('l, 'w, 'v) parent =
@@ -37,7 +39,8 @@ and ('l, 'w, 'v) future = {
 
 and ('l, 'w, 'v) waitset = {
   ws_name : string;
-  mutable ws_parked : ('l, 'w, 'v) entry list;
+  mutable ws_first : ('l, 'w, 'v) entry option;
+  mutable ws_waited : bool;
 }
 
 and ('l, 'w, 'v) entry = {
@@ -45,9 +48,10 @@ and ('l, 'w, 'v) entry = {
   we_node : ('l, 'w, 'v) node;
   we_leaf : 'l;
   we_round : int;
-  mutable we_live : bool;
   mutable we_prev : ('l, 'w, 'v) entry;
   mutable we_next : ('l, 'w, 'v) entry;
+  mutable we_wprev : ('l, 'w, 'v) entry;
+  mutable we_wnext : ('l, 'w, 'v) entry;
 }
 
 type policy =
@@ -56,11 +60,20 @@ type policy =
   | Pick of (int -> int)
   | Pick_pids of (int array -> int)
 
-let waitset name = { ws_name = name; ws_parked = [] }
+let waitset name = { ws_name = name; ws_first = None; ws_waited = false }
 
 let future () = { fvalue = None; fws = waitset "future" }
 
-let parked_count ws = List.length (List.filter (fun e -> e.we_live) ws.ws_parked)
+let parked_count ws =
+  match ws.ws_first with
+  | None -> 0
+  | Some first ->
+      let rec count n e = if e == first then n else count (n + 1) e.we_wnext in
+      count 1 first.we_wnext
+
+(* A live entry is linked into the registry, whose sentinel is never
+   live; an unlinked entry points at itself. *)
+let live e = e.we_next != e
 
 (* Sleeping fibers as a binary min-heap keyed (deadline, insertion seq).
    The seq tiebreak makes equal deadlines pop in insertion order — the
@@ -171,13 +184,10 @@ module Make (B : BACKEND) = struct
     mutable clock : int;
     mutable cur_pid : int;
     mutable cur_span : int;
-    mutable n_parked : int;
     mutable live_futures : int;
     parked : entry;
     timer_ws : waitset;
     timers : entry heap;
-    node_span : (int, int) Hashtbl.t;
-    wake_ts : (int, int) Hashtbl.t;
     s_fuel : Obs.Metrics.Sketch.t;
     s_runq : Obs.Metrics.Sketch.t;
     s_park : Obs.Metrics.Sketch.t;
@@ -185,12 +195,12 @@ module Make (B : BACKEND) = struct
   }
 
   let create ?obs ~policy ~resume_wait ~on_wake leaf =
-    let root = { nid = 0; parent = Ptop; body = Nleaf leaf } in
+    let root = { nid = 0; parent = Ptop; body = Nleaf leaf; span = -1; woke = -1 } in
     let timer_ws = waitset "timer" in
     (* the registry's sentinel: never live, never woken *)
     let rec parked =
       { we_ws = timer_ws; we_node = root; we_leaf = leaf; we_round = 0;
-        we_live = false; we_prev = parked; we_next = parked }
+        we_prev = parked; we_next = parked; we_wprev = parked; we_wnext = parked }
     in
     let mx = match obs with Some o -> Obs.metrics o | None -> Lazy.force no_metrics in
     let series name = Obs.Metrics.series mx (B.prefix ^ name) in
@@ -202,8 +212,7 @@ module Make (B : BACKEND) = struct
       rng = (match policy with Seeded s -> Some (Xorshift.create s) | _ -> None);
       queue = [ root ]; born = []; new_trees = []; final = None; halted = false;
       next_id = 0; rounds = 0; prunes = 0; clock = 0; cur_pid = 0; cur_span = -1;
-      n_parked = 0; live_futures = 0; timers = Heap.create ();
-      node_span = Hashtbl.create 32; wake_ts = Hashtbl.create 32;
+      live_futures = 0; timers = Heap.create ();
       s_fuel = series ".slice.fuel"; s_runq = series ".runq.depth";
       s_park = series ".park.rounds"; s_wake_run = series ".wake.run";
     }
@@ -220,8 +229,7 @@ module Make (B : BACKEND) = struct
      controller and graft children all carry their creator's request. *)
   let node k parent body =
     k.next_id <- k.next_id + 1;
-    if k.cur_span >= 0 then Hashtbl.replace k.node_span k.next_id k.cur_span;
-    { nid = k.next_id; parent; body }
+    { nid = k.next_id; parent; body; span = k.cur_span; woke = -1 }
 
   (* Make [n] a wait node over [child (Pchild (n, i)) i] for every slot;
      slots already filled in [results] are not pending. *)
@@ -282,21 +290,20 @@ module Make (B : BACKEND) = struct
 
   (* ---------------------------------------------------------------- *)
   (* Parking.  Every live entry sits in one registry, a circular       *)
-  (* doubly-linked list in park order, and leaves it when woken,       *)
-  (* expired, captured or cancelled — so memory follows the parked     *)
-  (* fibers, not the run's history.  A waitset's own list keeps stale  *)
-  (* entries until its next wake, which skips them.                    *)
+  (* doubly-linked list in park order, and, unless it sleeps, in its   *)
+  (* waitset's own ring, also in park order.  It leaves both when      *)
+  (* woken, expired, captured or cancelled — so memory follows the     *)
+  (* parked fibers, not the run's history.                             *)
   (* ---------------------------------------------------------------- *)
 
   let register k ws n leaf =
     let s = k.parked in
-    let e =
-      { we_ws = ws; we_node = n; we_leaf = leaf; we_round = k.rounds; we_live = true;
-        we_prev = s.we_prev; we_next = s }
+    let rec e =
+      { we_ws = ws; we_node = n; we_leaf = leaf; we_round = k.rounds;
+        we_prev = s.we_prev; we_next = s; we_wprev = e; we_wnext = e }
     in
     s.we_prev.we_next <- e;
     s.we_prev <- e;
-    k.n_parked <- k.n_parked + 1;
     n.body <- Nparked e;
     (match k.obs with
     | None -> ()
@@ -305,57 +312,67 @@ module Make (B : BACKEND) = struct
 
   let park k n ws leaf =
     let e = register k ws n leaf in
-    ws.ws_parked <- e :: ws.ws_parked
+    ws.ws_waited <- true;
+    match ws.ws_first with
+    | None -> ws.ws_first <- Some e
+    | Some first ->
+        let last = first.we_wprev in
+        e.we_wprev <- last;
+        e.we_wnext <- first;
+        last.we_wnext <- e;
+        first.we_wprev <- e
 
-  (* Timer entries are never on [timer_ws.ws_parked]: sleepers wake only
-     by expiry, or leave through capture/cancel like any parked fiber. *)
+  (* Timer entries are in no waitset's ring: sleepers wake only by
+     expiry, or leave through capture/cancel like any parked fiber. *)
   let sleep k n d leaf = Heap.push k.timers (k.clock + max d 0) (register k k.timer_ws n leaf)
 
-  let unpark k e =
-    e.we_live <- false;
-    k.n_parked <- k.n_parked - 1;
+  let unpark e =
     e.we_prev.we_next <- e.we_next;
     e.we_next.we_prev <- e.we_prev;
     e.we_prev <- e;
-    e.we_next <- e
+    e.we_next <- e;
+    let ws = e.we_ws and next = e.we_wnext in
+    (match ws.ws_first with
+    | Some first when first == e -> ws.ws_first <- (if next == e then None else Some next)
+    | _ -> ());
+    e.we_wprev.we_wnext <- next;
+    next.we_wprev <- e.we_wprev
 
   (* [sample]: feed the park-latency distribution (not for spurious wakes) *)
   let wake_entry k ~sample e =
-    unpark k e;
+    unpark e;
     k.on_wake ();
     e.we_node.body <- Nleaf e.we_leaf;
     match k.obs with
     | None -> ()
     | Some o ->
         if sample then Obs.Metrics.Sketch.observe k.s_park (k.rounds - e.we_round);
-        Hashtbl.replace k.wake_ts e.we_node.nid k.clock;
+        e.we_node.woke <- k.clock;
         Obs.emit o (E.Wake { pid = e.we_node.nid; resource = e.we_ws.ws_name })
 
   (* Woken fibers join [born] oldest first, ahead of the step's other
-     successors, so the trace shows them in the order they will run. *)
-  let wake_all k ~sample entries =
-    let woken =
-      List.fold_left
-        (fun acc e ->
-          wake_entry k ~sample e;
-          e.we_node :: acc)
-        [] entries
-    in
-    k.born <- List.rev_append woken k.born
-
+     successors, so the trace shows them in the order they will run.
+     Each wake unlinks the waitset's oldest entry, so its ring drains in
+     park order. *)
   let wake_ws k ws =
-    match ws.ws_parked with
-    | [] -> ()
-    | entries ->
-        ws.ws_parked <- [];
-        wake_all k ~sample:true (List.filter (fun e -> e.we_live) (List.rev entries))
+    let rec drain woken =
+      match ws.ws_first with
+      | None -> List.rev_append woken k.born
+      | Some e ->
+          wake_entry k ~sample:true e;
+          drain (e.we_node :: woken)
+    in
+    ws.ws_waited <- false;
+    k.born <- drain []
 
   let live_parked k =
     let rec go acc e = if e == k.parked then acc else go (e :: acc) e.we_prev in
     go [] k.parked.we_prev
 
   let wake_named k name =
-    wake_all k ~sample:false (List.filter (fun e -> e.we_ws.ws_name = name) (live_parked k))
+    let woken = List.filter (fun e -> e.we_ws.ws_name = name) (live_parked k) in
+    List.iter (wake_entry k ~sample:false) woken;
+    k.born <- List.map (fun e -> e.we_node) woken @ k.born
 
   let deliver k n v =
     n.body <- Ndone;
@@ -383,27 +400,22 @@ module Make (B : BACKEND) = struct
 
   let begin_slice k n =
     k.cur_pid <- n.nid;
-    k.cur_span <- (match Hashtbl.find_opt k.node_span n.nid with Some s -> s | None -> -1);
+    k.cur_span <- n.span;
     match k.obs with
     | None -> ()
-    | Some o -> (
+    | Some o ->
         Obs.emit o (E.Slice_begin { pid = n.nid });
         (* wake-to-run latency: the run-queue delay *)
-        match Hashtbl.find_opt k.wake_ts n.nid with
-        | Some w ->
-            Hashtbl.remove k.wake_ts n.nid;
-            Obs.Metrics.Sketch.observe k.s_wake_run (k.clock - w)
-        | None -> ())
+        if n.woke >= 0 then begin
+          Obs.Metrics.Sketch.observe k.s_wake_run (k.clock - n.woke);
+          n.woke <- -1
+        end
 
-  (* The leaf keeps its span context for its next slice, unless it has
-     finished.  The clock advances by the fuel used, at least 1, with or
-     without a handle, so timers never depend on observation. *)
+  (* The leaf keeps its span context for its next slice.  The clock
+     advances by the fuel used, at least 1, with or without a handle, so
+     timers never depend on observation. *)
   let end_slice k n used =
-    (match n.body with
-    | Ndone -> Hashtbl.remove k.node_span n.nid
-    | _ ->
-        if k.cur_span >= 0 then Hashtbl.replace k.node_span n.nid k.cur_span
-        else Hashtbl.remove k.node_span n.nid);
+    n.span <- k.cur_span;
     let dt = if used > 0 then used else 1 in
     k.clock <- k.clock + dt;
     match k.obs with
@@ -437,14 +449,15 @@ module Make (B : BACKEND) = struct
 
   let live_leaves k = Array.of_list (List.filter (fun n -> is_leaf n && attached k n) k.queue)
 
-  (* The nodes that take a stepped node's place in the queue: itself if
-     still a runnable leaf, then whatever the step made runnable.  A
-     subtree's leaves are contiguous in tree order, so splicing them here
-     keeps the queue in the order a full forest walk would produce. *)
-  let successors k n =
+  (* The nodes that take a stepped node's place in the queue, reversed
+     onto [acc]: itself if still a runnable leaf, then whatever the step
+     made runnable.  A subtree's leaves are contiguous in tree order, so
+     splicing them here keeps the queue in the order a full forest walk
+     would produce. *)
+  let successors k n acc =
     match k.born with
-    | [] -> if is_leaf n then [ n ] else []
-    | b -> if is_leaf n && attached k n then n :: b else b
+    | [] -> if is_leaf n then n :: acc else acc
+    | b -> List.rev_append b (if is_leaf n && attached k n then n :: acc else acc)
 
   (* One round over the queue of runnable leaves.  Stale entries (pruned
      by a capture, or no longer leaves) are dropped as they are met, so a
@@ -476,7 +489,7 @@ module Make (B : BACKEND) = struct
              match n.body with Nleaf s -> step n s | _ -> ());
           let before = Array.to_list (Array.sub arr 0 idx) in
           let after = Array.to_list (Array.sub arr (idx + 1) (count - idx - 1)) in
-          k.queue <- before @ successors k n @ after
+          k.queue <- before @ List.rev_append (successors k n []) after
         end
     | Tree ->
         (* one fused pass: compact while stepping, replacing each stepped
@@ -489,14 +502,7 @@ module Make (B : BACKEND) = struct
                   if not k.halted then begin
                     k.born <- [];
                     step n s;
-                    match k.born with
-                    | [] -> if is_leaf n then go (n :: acc) rest else go acc rest
-                    | b ->
-                        let acc =
-                          if is_leaf n && attached k n then List.rev_append b (n :: acc)
-                          else List.rev_append b acc
-                        in
-                        go acc rest
+                    go (successors k n acc) rest
                   end
                   else go (n :: acc) rest
               | _ -> go acc rest)
@@ -504,7 +510,8 @@ module Make (B : BACKEND) = struct
         go [] k.queue
     | Seeded _ ->
         (* only the processing order is shuffled, over exactly the live
-           leaves; successors still land in their tree-order bucket *)
+           leaves; successors still land in their tree-order bucket,
+           reversed *)
         let arr = live_leaves k in
         let count = Array.length arr in
         let buckets = Array.make (max count 1) [] in
@@ -518,12 +525,12 @@ module Make (B : BACKEND) = struct
             | Nleaf s when attached k n ->
                 if not k.halted then begin
                   step n s;
-                  buckets.(i) <- successors k n
+                  buckets.(i) <- successors k n []
                 end
                 else buckets.(i) <- [ n ]
             | _ -> buckets.(i) <- [])
           order;
-        k.queue <- List.concat (Array.to_list buckets));
+        k.queue <- Array.fold_right List.rev_append buckets []);
     if k.new_trees <> [] then k.queue <- k.queue @ List.rev k.new_trees
 
   (* Wake every live sleeper whose deadline has come, in (deadline, park)
@@ -532,7 +539,7 @@ module Make (B : BACKEND) = struct
     let woken = ref [] in
     while k.timers.n > 0 && fst (Heap.top k.timers) <= k.clock do
       let e = Heap.pop k.timers in
-      if e.we_live then begin
+      if live e then begin
         wake_entry k ~sample:true e;
         woken := e.we_node :: !woken
       end
@@ -543,7 +550,7 @@ module Make (B : BACKEND) = struct
      live deadline instead of declaring deadlock, so timeouts stay a
      liveness backstop.  Dead (captured) sleepers on top are discarded. *)
   let jump_clock k =
-    while k.timers.n > 0 && not (snd (Heap.top k.timers)).we_live do
+    while k.timers.n > 0 && not (live (snd (Heap.top k.timers))) do
       ignore (Heap.pop k.timers)
     done;
     k.timers.n > 0
@@ -566,7 +573,7 @@ module Make (B : BACKEND) = struct
         else if jump_clock k then drive k ~step ~verdict ~quiescent
         else begin
           (match (k.final, k.obs) with
-          | None, Some o -> Obs.emit o (E.Deadlock { parked = k.n_parked })
+          | None, Some o -> Obs.emit o (E.Deadlock { parked = List.length (live_parked k) })
           | _ -> ());
           quiescent ()
         end

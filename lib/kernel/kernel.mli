@@ -15,6 +15,10 @@ type ('l, 'w, 'v) node = {
   nid : int;
   mutable parent : ('l, 'w, 'v) parent;
   mutable body : ('l, 'w, 'v) body;
+  mutable span : int;  (** its innermost open span, -1 for none *)
+  mutable woke : int;
+      (** under an obs handle, the clock at its last wake until its next
+          slice, -1 for none *)
 }
 
 and ('l, 'w, 'v) parent =
@@ -40,23 +44,29 @@ and ('l, 'w, 'v) future = {
   fws : ('l, 'w, 'v) waitset;  (** its touchers, woken on delivery *)
 }
 
-(** The fibers parked on one blocking resource.  [ws_parked] is newest
-    first and may hold stale entries (woken by a spurious wake, or pruned
-    by a capture) until the next wake of this waitset, which skips
-    them. *)
+(** The fibers parked on one blocking resource, in park order around a
+    ring from [ws_first].  A wake, capture, cancel or spurious wake takes
+    an entry off. *)
 and ('l, 'w, 'v) waitset = {
   ws_name : string;
-  mutable ws_parked : ('l, 'w, 'v) entry list;
+  mutable ws_first : ('l, 'w, 'v) entry option;
+  mutable ws_waited : bool;
+      (** a fiber parked here since the last {!Make.wake_ws}, even if it
+          has left since *)
 }
 
+(** One parked fiber.  A live entry is on the run's registry of parked
+    fibers ([we_prev]/[we_next]; a withdrawn entry links to itself) and,
+    unless it sleeps, on its waitset's ring ([we_wprev]/[we_wnext]). *)
 and ('l, 'w, 'v) entry = {
   we_ws : ('l, 'w, 'v) waitset;
   we_node : ('l, 'w, 'v) node;
   we_leaf : 'l;  (** what the node becomes when woken or captured *)
   we_round : int;  (** the round it parked in *)
-  mutable we_live : bool;
   mutable we_prev : ('l, 'w, 'v) entry;
   mutable we_next : ('l, 'w, 'v) entry;
+  mutable we_wprev : ('l, 'w, 'v) entry;
+  mutable we_wnext : ('l, 'w, 'v) entry;
 }
 
 type policy =
@@ -72,7 +82,7 @@ val future : unit -> ('l, 'w, 'v) future
 (** A pending future whose waitset is named ["future"]. *)
 
 val parked_count : ('l, 'w, 'v) waitset -> int
-(** Live entries on the waitset. *)
+(** Entries on the waitset. *)
 
 type 'a heap
 
@@ -123,13 +133,10 @@ module Make (B : BACKEND) : sig
     mutable clock : int;  (** virtual time *)
     mutable cur_pid : int;  (** the stepping leaf *)
     mutable cur_span : int;  (** its innermost open span, -1 for none *)
-    mutable n_parked : int;
     mutable live_futures : int;  (** futures planted and not delivered *)
     parked : entry;
     timer_ws : waitset;
     timers : entry heap;
-    node_span : (int, int) Hashtbl.t;
-    wake_ts : (int, int) Hashtbl.t;
     s_fuel : Pcont_obs.Obs.Metrics.Sketch.t;
     s_runq : Pcont_obs.Obs.Metrics.Sketch.t;
     s_park : Pcont_obs.Obs.Metrics.Sketch.t;
@@ -194,7 +201,7 @@ module Make (B : BACKEND) : sig
   (** Park the node on the timer heap until the clock reaches
       [clock + max d 0]. *)
 
-  val unpark : t -> entry -> unit
+  val unpark : entry -> unit
   (** Withdraw a live entry, as when a capture or cancel prunes it. *)
 
   val wake_ws : t -> waitset -> unit
@@ -207,9 +214,12 @@ module Make (B : BACKEND) : sig
   (** {1 Running} *)
 
   val begin_slice : t -> node -> unit
+  (** [n]'s span becomes [cur_span]; under a handle, its wake stamp is
+      observed and cleared. *)
 
   val end_slice : t -> node -> int -> unit
-  (** [end_slice k n used]: the clock advances by [used] (at least 1). *)
+  (** [end_slice k n used]: [cur_span] becomes [n]'s span, and the clock
+      advances by [used] (at least 1). *)
 
   val drive :
     t ->

@@ -138,7 +138,7 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
                as an ordinary suspended leaf; on graft the rebuilt branch
                re-applies its pending touch, which either finds the cell
                resolved or parks again. *)
-            K.unpark k e;
+            K.unpark e;
             Machine.pin_segments e.we_leaf.pstack;
             Pleaf e.we_leaf
         | Ndone -> Pdone

@@ -42,42 +42,35 @@ type fault =
 (* Untyped scheduler core: every fiber computes a Univ.t.              *)
 (* ------------------------------------------------------------------ *)
 
-type step_result = Sdone of Univ.t | Ssuspended
+(* What a wait node resumes on: the return of a spawned process (a
+   labeled root), the completion of pcall branches, or the value of a
+   controller body evaluated after a capture. *)
+type wkind = Wroot of int | Wfork | Wbody
 
-type fiber_k = (Univ.t, step_result) continuation
+(* A slice ends with the fiber's value, or with the request it performed
+   and the continuation that resumes it. *)
+type step_result = Sdone of Univ.t | Ssuspended of request * fiber_k
+
+and fiber_k = (Univ.t, step_result) continuation
 
 (* A runnable fiber, as data: its body not yet started, or a suspended
    continuation to resume with a value or an exception. *)
-type fiber_step =
+and fiber_step =
   | Start of (unit -> Univ.t)
   | Resume of fiber_k * Univ.t
   | Raise of fiber_k * exn
 
-(* What a suspended fiber waits for: the return of a spawned process
-   (a labeled root), the completion of pcall branches, or the value of a
-   controller body evaluated after a capture — and how it resumes. *)
-type wkind = Wroot of int | Wfork | Wbody
+(* What a suspended fiber waits for, and how it resumes. *)
+and swait = { kind : wkind; resume : fiber_k; join : Univ.t array -> Univ.t }
 
-type swait = { kind : wkind; resume : fiber_k; join : Univ.t array -> Univ.t }
+and waitset = (fiber_step, swait, Univ.t) Kernel.waitset
 
-module K = Kernel.Make (struct
-  type leaf = fiber_step
-
-  type wait = swait
-
-  type value = Univ.t
-
-  let prefix = "sched"
-end)
-
-type waitset = K.waitset
-
-type request =
+and request =
   | Rspawn of int * (unit -> Univ.t)  (* root label, process body *)
   | Rcontrol of int * (upk -> Univ.t)  (* root label, controller argument *)
   | Rgraft of upk * Univ.t
   | Rpcall of (unit -> Univ.t) list * (Univ.t array -> Univ.t)
-  | Rfuture of (unit -> Univ.t) * K.future
+  | Rfuture of (unit -> Univ.t) * (fiber_step, swait, Univ.t) Kernel.future
       (* an INDEPENDENT process tree (Section 8's forest): its result is
          stored in the future; control operations cannot cross into it *)
   | Ryield
@@ -105,6 +98,16 @@ and ptree =
   | PWait of pwait
 
 and pwait = { pw_wait : swait; pw_children : ptree array; pw_results : Univ.t option array }
+
+module K = Kernel.Make (struct
+  type leaf = fiber_step
+
+  type wait = swait
+
+  type value = Univ.t
+
+  let prefix = "sched"
+end)
 
 type _ Effect.t += Sched : request -> Univ.t Effect.t
 
@@ -194,21 +197,14 @@ let first vs = vs.(0)
 
 let run ?(policy = Tree_order) ?obs ?inject (type a) (main : unit -> a) : a =
   let inj_a, prj_a = Univ.embed () in
-  let pending_request : (request * fiber_k) option ref = ref None in
-  (* An injected crash for the fiber about to step: consumed by
-     [run_step], so the exception materializes at the fiber's
-     suspension point (catchable by its own try/with); a fiber that has
-     never run yet crashes before its body — spawn-failure semantics. *)
-  let pending_crash : exn option ref = ref None in
-  let run_step = function
+  (* [crash]: an injected crash for this fiber, raised at its suspension
+     point (catchable by its own try/with); a fiber that has never run
+     yet crashes before its body — spawn-failure semantics. *)
+  let run_step crash = function
     | Start body ->
         match_with
           (fun () ->
-            (match !pending_crash with
-            | Some e ->
-                pending_crash := None;
-                raise e
-            | None -> ());
+            if crash then raise Injected_crash;
             body ())
           ()
           {
@@ -218,18 +214,10 @@ let run ?(policy = Tree_order) ?obs ?inject (type a) (main : unit -> a) : a =
               (fun (type b) (eff : b Effect.t) ->
                 match eff with
                 | Sched req ->
-                    Some
-                      (fun (k : (b, step_result) continuation) ->
-                        pending_request := Some (req, k);
-                        Ssuspended)
+                    Some (fun (k : (b, step_result) continuation) -> Ssuspended (req, k))
                 | _ -> None);
           }
-    | Resume (fk, v) -> (
-        match !pending_crash with
-        | None -> continue fk v
-        | Some e ->
-            pending_crash := None;
-            discontinue fk e)
+    | Resume (fk, v) -> if crash then discontinue fk Injected_crash else continue fk v
     | Raise (fk, exn) -> discontinue fk exn
   in
   let k =
@@ -290,7 +278,7 @@ let run ?(policy = Tree_order) ?obs ?inject (type a) (main : unit -> a) : a =
                    it as a runnable leaf: on graft it resumes and re-checks
                    its blocking condition — parking is always a re-check
                    loop, so a spurious wake-up is harmless. *)
-                K.unpark k e;
+                K.unpark e;
                 PLeaf e.we_leaf
             | Ndone -> PDone
             | Nwait w ->
@@ -335,7 +323,7 @@ let run ?(policy = Tree_order) ?obs ?inject (type a) (main : unit -> a) : a =
           | Ndone -> ()
           | Nleaf _ -> cancelled := m.nid :: !cancelled
           | Nparked e ->
-              K.unpark k e;
+              K.unpark e;
               cancelled := m.nid :: !cancelled
           | Nwait wc ->
               cancelled := m.nid :: !cancelled;
@@ -385,79 +373,70 @@ let run ?(policy = Tree_order) ?obs ?inject (type a) (main : unit -> a) : a =
 
   (* Apply one injected fault just before the slice it targets.  The
      marker event precedes the slice's begin event, so a schedule
-     re-extracted from the trace re-injects at the same slice index. *)
+     re-extracted from the trace re-injects at the same slice index.
+     True for a crash of the fiber about to step. *)
   let apply_fault n fault =
+    let pid, marker =
+      match fault with
+      | Fcrash -> (n.nid, "inject:crash")
+      | Fwake res -> (-1, "inject:wake:" ^ res)
+      | Fdrop chan -> (-1, "inject:drop:" ^ string_of_int chan)
+    in
+    (match obs with None -> () | Some o -> Obs.emit o (E.Crash { pid; fault = marker }));
     match fault with
-    | Fcrash ->
-        (match obs with
-        | None -> ()
-        | Some o -> Obs.emit o (E.Crash { pid = n.nid; fault = "inject:crash" }));
-        pending_crash := Some Injected_crash
+    | Fcrash -> true
     | Fwake res ->
-        (match obs with
-        | None -> ()
-        | Some o -> Obs.emit o (E.Crash { pid = -1; fault = "inject:wake:" ^ res }));
         (* Parking is a re-check loop, so correct waiters re-park;
            anything that stays woken revealed a missing re-check. *)
-        K.wake_named k res
-    | Fdrop chan -> (
-        (match obs with
-        | None -> ()
-        | Some o ->
-            Obs.emit o
-              (E.Crash { pid = -1; fault = "inject:drop:" ^ string_of_int chan }));
+        K.wake_named k res;
+        false
+    | Fdrop chan ->
         let probe = { chan_id = chan; drop = (fun () -> None) } in
-        match Option.bind ctx.hooks (fun hooks -> Hooks.find_opt hooks probe) with
+        (match Option.bind ctx.hooks (fun hooks -> Hooks.find_opt hooks probe) with
         | None -> ()
-        | Some h -> Option.iter (K.wake_ws k) (h.drop ()))
+        | Some h -> Option.iter (K.wake_ws k) (h.drop ()));
+        false
   in
 
   (* One slice: run the fiber to its next request, which is charged one
      unit of virtual time — the native scheduler does not meter fiber
      work. *)
   let step n leaf =
-    pending_request := None;
-    (match inject with
-    | None -> ()
-    | Some f -> Option.iter (apply_fault n) (f !nslices));
+    let crash =
+      match inject with
+      | None -> false
+      | Some f -> ( match f !nslices with Some fault -> apply_fault n fault | None -> false)
+    in
     incr nslices;
     K.begin_slice k n;
-    (match run_step leaf with
+    (match run_step crash leaf with
     | Sdone v ->
         K.deliver k n v;
         (* the run ends with the main tree: nothing else steps *)
         if Option.is_some k.final then K.halt k
-    | Ssuspended -> (
-        match !pending_request with
-        | None -> assert false
-        | Some (req, fk) -> (
-            match req with
-            | Ryield -> n.body <- Nleaf (Resume (fk, u_unit))
-            | Rsleep d -> K.sleep k n d (Resume (fk, u_unit))
-            | Rabort (label, reason, replacement) ->
-                do_abort n fk label reason replacement
-            | Rspawn (label, body) ->
-                K.fork k n { kind = Wroot label; resume = fk; join = first }
-                  [ Start body ] "process"
-            | Rpcall (thunks, join) ->
-                K.fork k n { kind = Wfork; resume = fk; join }
-                  (List.map (fun t -> Start t) thunks) "branch"
-            | Rblock ws -> K.park k n ws (Resume (fk, u_unit))
-            | Rwake ws ->
-                K.wake_ws k ws;
-                n.body <- Nleaf (Resume (fk, u_unit))
-            | Rfuture (body, fut) ->
-                K.plant_future k n fut (Start body);
-                n.body <- Nleaf (Resume (fk, u_unit))
-            | Rcontrol (label, body_fn) -> do_capture n fk label body_fn
-            | Rgraft (upk, v) -> do_graft n fk upk v))
+    | Ssuspended (req, fk) -> (
+        match req with
+        | Ryield -> n.body <- Nleaf (Resume (fk, u_unit))
+        | Rsleep d -> K.sleep k n d (Resume (fk, u_unit))
+        | Rabort (label, reason, replacement) -> do_abort n fk label reason replacement
+        | Rspawn (label, body) ->
+            K.fork k n { kind = Wroot label; resume = fk; join = first } [ Start body ] "process"
+        | Rpcall (thunks, join) ->
+            K.fork k n { kind = Wfork; resume = fk; join }
+              (List.map (fun t -> Start t) thunks) "branch"
+        | Rblock ws -> K.park k n ws (Resume (fk, u_unit))
+        | Rwake ws ->
+            K.wake_ws k ws;
+            n.body <- Nleaf (Resume (fk, u_unit))
+        | Rfuture (body, fut) ->
+            K.plant_future k n fut (Start body);
+            n.body <- Nleaf (Resume (fk, u_unit))
+        | Rcontrol (label, body_fn) -> do_capture n fk label body_fn
+        | Rgraft (upk, v) -> do_graft n fk upk v)
     | exception e ->
         failure := Some e;
         K.halt k);
-    K.end_slice k n 1;
-    (* an unconsumed crash (the target delivered or raised before its
-       suspension point was resumed) must not leak to the next slice *)
-    pending_crash := None
+    K.end_slice k n 1
   in
   let verdict () =
     match (k.final, !failure) with
@@ -587,9 +566,12 @@ end
 let block ws = ignore (perform_sched (Rblock ws))
 
 let wake ws =
-  (* Performing the effect costs a suspension, so skip it when nothing is
-     parked — the common uncontended case stays effect-free. *)
-  if ws.ws_parked <> [] then ignore (perform_sched (Rwake ws))
+  (* Performing the effect costs a suspension, so skip it when nobody has
+     parked since the last wake — the common uncontended case stays
+     effect-free.  A waiter that left without a wake (captured, cancelled
+     or spuriously woken) still costs the suspension: skipping it too
+     would move slices, and with them the virtual clock and every trace. *)
+  if ws.ws_waited then ignore (perform_sched (Rwake ws))
 
 (* ------------------------------------------------------------------ *)
 (* Futures: independent trees in the forest (Section 8).               *)

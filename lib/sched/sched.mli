@@ -211,7 +211,7 @@ module Waitset : sig
   val name : t -> string
 
   val parked : t -> int
-  (** Fibers currently parked (live entries only). *)
+  (** Fibers currently parked. *)
 end
 
 val block : Waitset.t -> unit
@@ -220,9 +220,9 @@ val block : Waitset.t -> unit
     blocking condition after [block] returns. *)
 
 val wake : Waitset.t -> unit
-(** Make every fiber parked on the waitset runnable.  A no-op when the
-    waitset is empty (and effect-free, so safe on the uncontended fast
-    path). *)
+(** Make every fiber parked on the waitset runnable.  A no-op, and
+    effect-free, when no fiber has parked on the waitset since its last
+    wake, so safe on the uncontended fast path. *)
 
 (** {1 Observability hooks for user-level abstractions}
 

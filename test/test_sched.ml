@@ -703,6 +703,50 @@ let test_fdrop_live_channel () =
   in
   Alcotest.(check (list int)) "one message dropped" [ 2; 3 ] got
 
+(* The kernel's native series under a metrics-only handle, for a fixed
+   park/wake/sleep program: four waiters re-check a gate that one waker
+   opens a step at a time, with sleeps and yields between.  No golden
+   trace covers the wake-to-run stamps, so their count, sum and max are
+   pinned here. *)
+let test_sched_series_pinned () =
+  let o = Obs.create () in
+  S.run ~obs:o (fun () ->
+      let ws = S.Waitset.create "test.gate" in
+      let opened = ref 0 in
+      let waiter i () =
+        while !opened < i do
+          S.block ws
+        done;
+        S.sleep i;
+        S.yield ()
+      in
+      let waker () =
+        for i = 1 to 4 do
+          S.yield ();
+          S.sleep (3 - (i mod 3));
+          opened := i;
+          S.wake ws
+        done
+      in
+      ignore (S.pcall (waker :: List.init 4 (fun i -> waiter (i + 1)))));
+  let stats name =
+    match Obs.Metrics.find_sketch (Obs.metrics o) name with
+    | None -> Alcotest.failf "no series %s" name
+    | Some s ->
+        let module Sk = Obs.Metrics.Sketch in
+        (name, (Sk.count s, Sk.sum s, Sk.max s))
+  in
+  Alcotest.(check (list (pair string (triple int int int))))
+    "count, sum, max"
+    [
+      ("sched.slice.fuel", (37, 37, 1));
+      ("sched.runq.depth", (19, 37, 5));
+      ("sched.park.rounds", (18, 26, 3));
+      ("sched.wake.run", (18, 34, 5));
+    ]
+    (List.map stats
+       [ "sched.slice.fuel"; "sched.runq.depth"; "sched.park.rounds"; "sched.wake.run" ])
+
 let test_waitset_block_wake () =
   (* The primitive user-level protocol: park on a waitset, re-check on
      wake-up. *)
@@ -941,6 +985,7 @@ let () =
             test_fwake_skips_stale_entries;
           Alcotest.test_case "Fdrop reaches a live channel" `Quick test_fdrop_live_channel;
           Alcotest.test_case "waitset block/wake" `Quick test_waitset_block_wake;
+          Alcotest.test_case "sched series pinned" `Quick test_sched_series_pinned;
           Alcotest.test_case "close wakes parked sender" `Quick
             test_close_wakes_parked_sender;
           Alcotest.test_case "close wakes parked receiver" `Quick

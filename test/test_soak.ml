@@ -90,6 +90,37 @@ let span_forks n =
       done;
       live_words ())
 
+(* Waiters that time out on one waitset nobody wakes: a cancelled
+   waiter must leave the waitset, which outlives the measurement. *)
+let timed_out_waiters n =
+  let ws = S.Waitset.create "never" in
+  let words =
+    S.run (fun () ->
+        for _ = 1 to n do
+          ignore (Pcont_resil.Resil.with_timeout 1 (fun () -> S.block ws))
+        done;
+        live_words ())
+  in
+  ignore (Sys.opaque_identity ws);
+  words
+
+(* Under a metrics-only handle, a parked fiber is woken by its sibling,
+   which then aborts their shared scope before the woken fiber runs: the
+   wake stamp must go with the cancelled fiber. *)
+let woken_then_cancelled n =
+  S.run ~obs:(Pcont_obs.Obs.create ()) (fun () ->
+      for _ = 1 to n do
+        let ws = S.Waitset.create "gate" in
+        S.spawn (fun c ->
+            ignore
+              (S.pcall2
+                 (fun () -> S.block ws)
+                 (fun () ->
+                   S.wake ws;
+                   S.abort c ~reason:"done" ignore)))
+      done;
+      live_words ())
+
 (* ---------------- process-stack scheduler ---------------- *)
 
 (* Runs [src] under Concur with a [live-words] primitive defined. *)
@@ -169,6 +200,10 @@ let () =
               check_flat "timeout scopes" timeout_scopes);
           Alcotest.test_case "span forks" `Quick (fun () ->
               check_flat "span forks" span_forks);
+          Alcotest.test_case "timed-out waiters on one waitset" `Quick (fun () ->
+              check_flat "timed-out waiters" timed_out_waiters);
+          Alcotest.test_case "woken then cancelled under a handle" `Quick (fun () ->
+              check_flat "woken then cancelled" woken_then_cancelled);
         ] );
       ( "pstack",
         [
